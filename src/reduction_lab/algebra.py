@@ -52,18 +52,6 @@ def _unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape(n, n)
 
 
-def _orthonormal_frame(vectors: list[np.ndarray], tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis for the span of the given vectors, as columns."""
-    if not vectors:
-        return np.zeros((0, 0), dtype=complex)
-    stacked = np.column_stack(vectors).astype(complex)
-    W, sig, _ = np.linalg.svd(stacked, full_matrices=False)
-    if sig.size == 0 or sig[0] <= tol.rank_eps:
-        return stacked[:, :0]
-    r = int(np.sum(sig > tol.rank_eps * sig[0]))
-    return W[:, :r]
-
-
 @dataclass(frozen=True)
 class AlgebraBasis:
     """A linearly independent spanning set for a multiplicatively closed span."""
@@ -86,7 +74,8 @@ class AlgebraBasis:
         """Orthonormal frame of the vectorised span, shape (n^2, dim)."""
         if not self.basis:
             return np.zeros((self.ambient**2, 0), dtype=complex)
-        return _orthonormal_frame([_vec(b) for b in self.basis], tol)
+        stacked = np.column_stack([_vec(b) for b in self.basis])
+        return Subspace.from_spanning(stacked, tol=tol).frame
 
     def in_span(self, M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
         F = self.frame(tol)
@@ -169,7 +158,7 @@ def generate_algebra(
     if unital:
         mats = [identity(n)] + mats
 
-    F = _orthonormal_frame([_vec(m) for m in mats], tol)
+    F = Subspace.from_spanning(np.column_stack([_vec(m) for m in mats]), tol=tol).frame
     while True:
         current = [_unvec(F[:, j], n) for j in range(F.shape[1])]
         new_vecs = []
@@ -181,7 +170,7 @@ def generate_algebra(
                     new_vecs.append(v)
         if not new_vecs:
             break
-        F = _orthonormal_frame([F[:, j] for j in range(F.shape[1])] + new_vecs, tol)
+        F = Subspace.from_spanning(np.column_stack([F] + new_vecs), tol=tol).frame
         if F.shape[1] >= n * n:
             break
 
@@ -210,6 +199,10 @@ def radical(A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
 
     Over a characteristic-zero field the radical of a matrix algebra is the
     kernel of the trace bilinear form x, y -> tr(xy) restricted to the span.
+    The Gram matrix is divided by the power of two nearest the largest squared
+    Frobenius norm of the basis, so the rank floor of ``null_space`` does not
+    depend on the basis scale; the division is exact, so a unit-scale basis
+    keeps every bit of its Gram matrix.
     """
     if A.dim == 0:
         return AlgebraBasis(ambient=A.ambient, basis=[], unital=False)
@@ -218,11 +211,12 @@ def radical(A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     for i, bi in enumerate(A.basis):
         for j, bj in enumerate(A.basis):
             G[i, j] = np.trace(bi @ bj)
-    K = null_space(G, tol=tol)
+    top = max(float(np.linalg.norm(b)) ** 2 for b in A.basis) or 1.0
+    K = null_space(G / 2.0 ** np.round(np.log2(top)), tol=tol)
     if K.shape[1] == 0:
         return AlgebraBasis(ambient=A.ambient, basis=[], unital=False)
     rad_vecs = [_vec(A.combine(K[:, j])) for j in range(K.shape[1])]
-    F = _orthonormal_frame(rad_vecs, tol)
+    F = Subspace.from_spanning(np.column_stack(rad_vecs), tol=tol).frame
     return _basis_from_frame(F, A.ambient, unital=False)
 
 
@@ -251,7 +245,7 @@ def center_and_minimal_central_idempotents(
     C = np.column_stack(cols)
     K = null_space(C, tol=tol)
     ctr_vecs = [_vec(A.combine(K[:, j])) for j in range(K.shape[1])]
-    F = _orthonormal_frame(ctr_vecs, tol)
+    F = Subspace.from_spanning(np.column_stack(ctr_vecs), tol=tol).frame
     center = _basis_from_frame(F, n, unital=True)
     m = center.dim
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import sampling
 from .algebra import (
-    bicommutant,
     commutant,
     generate_algebra,
     radical,
@@ -127,7 +126,7 @@ def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
     rad = radical(A, tol)
     verdict, cert = has_reduction_property(A, seed=seed, tol=tol)
     comm = commutant(A, tol)
-    bicomm = bicommutant(A, tol)
+    bicomm = commutant(comm, tol)
     report = {
         "algebra_dimension": A.dim,
         "ambient_dimension": A.ambient,

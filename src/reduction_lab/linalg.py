@@ -246,13 +246,8 @@ def rank_and_range(M, tol: Tolerance = DEFAULT_TOL) -> tuple[int, Subspace]:
     treated as zero; the toolkit works with unit-scale operators, and without
     the floor a roundoff-level matrix would count as full rank.
     """
-    M = as_matrix(M)
-    W, sig, _ = np.linalg.svd(M)
-    if sig.size == 0 or sig[0] <= tol.rank_eps:
-        rank = 0
-    else:
-        rank = int(np.sum(sig > tol.rank_eps * sig[0]))
-    return rank, Subspace(frame=W[:, :rank], ambient=M.shape[0])
+    V = Subspace.from_spanning(as_matrix(M), tol=tol)
+    return V.dim, V
 
 
 def principal_angle(V: Subspace, W: Subspace) -> float:

@@ -13,7 +13,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraBasis,
-    _orthonormal_frame,
     _unvec,
     _vec,
     commutant,
@@ -150,8 +149,8 @@ def restriction_to_invariant(
 ) -> AlgebraBasis:
     """The algebra of restricted actions on an invariant subspace, in frame coordinates."""
     F = V.frame
-    restricted = [F.conj().T @ b @ F for b in A.basis]
-    frame = _orthonormal_frame([_vec(r) for r in restricted], tol)
+    restricted = np.reshape([_vec(F.conj().T @ b @ F) for b in A.basis], (A.dim, V.dim**2))
+    frame = Subspace.from_spanning(restricted.T, ambient=V.dim**2, tol=tol).frame
     mats = [_unvec(frame[:, j], V.dim) for j in range(frame.shape[1])]
     unital = AlgebraBasis(V.dim, mats, unital=False).contains_identity(tol) if mats else False
     return AlgebraBasis(ambient=V.dim, basis=mats, unital=unital)
@@ -393,77 +392,56 @@ def has_reduction_property(
 
 def _spectral_norm_minimiser(
     P0: np.ndarray,
-    directions: list[np.ndarray],
-    rng: np.random.Generator,
-    restarts: int = 20,
+    D: np.ndarray,
     iters: int = 500,
     rel_stop: float = 1e-8,
 ) -> np.ndarray:
-    """Minimise ||P0 + sum_j c_j D_j|| over complex coefficients.
+    """Minimise ||P0 + sum_j c_j D_j|| over complex coefficients c.
 
-    Projected-subgradient descent on the spectral norm with Polyak step
-    sizing; the problem is convex, so random restarts only hedge step-size
-    stalls.  The global lower bound 1 for nonzero idempotents feeds the
-    Polyak target.
+    ``D`` stacks the k directions as a (k, n, n) array.  One subgradient
+    descent from c = 0: with (u, v) the top singular pair of the iterate, the
+    subgradient in c_j is conj(u* D_j v).  The problem is convex, so a single
+    descent suffices.  Steps are Polyak steps towards a fraction gamma below
+    the best value so far, never below 1, the least norm of a nonzero
+    idempotent.  gamma halves after 25 steps without progress and whenever
+    the iterate already meets the target; the descent ends when gamma falls
+    below 1e-12 or after ``iters`` steps.  The best iterate is returned, so
+    its norm bounds the minimum from above.
     """
-    k = len(directions)
-    if k == 0:
+    if len(D) == 0:
         return P0
-
-    def value_and_grad(y: np.ndarray) -> tuple[float, np.ndarray]:
-        M = P0.copy()
-        for j, D in enumerate(directions):
-            M = M + (y[2 * j] + 1j * y[2 * j + 1]) * D
-        U, s, Vh = np.linalg.svd(M)
-        u, v = U[:, 0], Vh[0].conj()
-        g = np.empty(2 * k)
-        for j, D in enumerate(directions):
-            w = u.conj() @ (D @ v)
-            g[2 * j] = w.real
-            g[2 * j + 1] = -w.imag
-        return float(s[0]), g
-
-    f_best, y_best = value_and_grad(np.zeros(2 * k))[0], np.zeros(2 * k)
-    for trial in range(restarts + 1):
-        y = (
-            np.zeros(2 * k)
-            if trial == 0
-            else rng.standard_normal(2 * k) * max(1.0, f_best)
-        )
-        gamma = 0.25
-        stall = 0
-        f_trial_best = np.inf
-        for _ in range(iters):
-            f, g = value_and_grad(y)
-            if f < f_best * (1 - rel_stop):
-                f_best, y_best = f, y.copy()
-            if f < f_trial_best * (1 - 1e-10):
-                f_trial_best, stall = f, 0
-            else:
-                stall += 1
-                if stall >= 25:
-                    gamma *= 0.5
-                    stall = 0
-                    if gamma < 1e-12:
-                        break
-            target = max(1.0 - 1e-12, f_best * (1 - gamma))
-            gnorm2 = float(g @ g)
-            if gnorm2 < 1e-24 or f <= target:
+    c = c_best = np.zeros(len(D), dtype=complex)
+    f_best = f_stall = np.inf
+    gamma, stall = 0.25, 0
+    for _ in range(iters):
+        U, s, Vh = np.linalg.svd(P0 + np.tensordot(c, D, 1))
+        f = float(s[0])
+        g = np.einsum("i,kij,j->k", U[:, 0].conj(), D, Vh[0].conj()).conj()
+        if f < f_best * (1 - rel_stop):
+            f_best, c_best = f, c
+        if f < f_stall * (1 - 1e-10):
+            f_stall, stall = f, 0
+        else:
+            stall += 1
+            if stall >= 25:
                 gamma *= 0.5
+                stall = 0
                 if gamma < 1e-12:
                     break
-                continue
-            y = y - ((f - target) / gnorm2) * g
-    M = P0.copy()
-    for j, D in enumerate(directions):
-        M = M + (y_best[2 * j] + 1j * y_best[2 * j + 1]) * D
-    return M
+        target = max(1.0 - 1e-12, f_best * (1 - gamma))
+        gnorm2 = float(np.vdot(g, g).real)
+        if gnorm2 < 1e-24 or f <= target:
+            gamma *= 0.5
+            if gamma < 1e-12:
+                break
+            continue
+        c = c - ((f - target) / gnorm2) * g
+    return P0 + np.tensordot(c_best, D, 1)
 
 
 def min_norm_module_projection(
     V: Subspace,
     A: AlgebraBasis,
-    seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
     """Module projection onto V of (approximately) minimal operator norm.
@@ -481,9 +459,8 @@ def min_norm_module_projection(
         return p0
     H, E, _ = _module_projection_system(V, A)
     N = null_space(np.vstack([H, E]), tol=tol)
-    directions = [_unvec(N[:, j], A.ambient) for j in range(N.shape[1])]
-    rng = np.random.default_rng(seed)
-    p = _spectral_norm_minimiser(p0, directions, rng)
+    n = A.ambient
+    p = _spectral_norm_minimiser(p0, N.T.reshape(N.shape[1], n, n))
 
     scale = max(1.0, operator_norm(p))
     if operator_norm(p @ p - p) > 1e-6 * scale**2:
@@ -508,12 +485,15 @@ def projection_constant_estimate(
     tol: Tolerance = DEFAULT_TOL,
     amplification: int = 1,
 ) -> tuple[float, list]:
-    """Certified lower bound for the projection constant, by sampling submodules.
+    """Lower bound for the projection constant, by sampling submodules.
 
     Samples irreducible pieces, isotypic sums, and graph subspaces built from
     intertwiners between isomorphic irreducible blocks, and maximises the
     minimum projection norm.  The zero submodule is excluded; the reported
-    number is a lower bound, never claimed as the supremum.
+    number is a lower bound, never claimed as the supremum.  It is not
+    certified: each minimum comes from a primal descent and estimates the
+    true minimum from above, with no dual certificate, so the bound can
+    overstate by the descent's remaining gap.
 
     With ``amplification=2`` the doubled module is sampled as well, covering
     graph submodules between the two copies; levels beyond 2 are out of scope.
@@ -530,8 +510,7 @@ def projection_constant_estimate(
         high, wit2 = projection_constant_estimate(doubled, samples, seed, tol)
         witnesses = sorted(wit1 + wit2, key=lambda t: -t[1])
         return max(base, high), witnesses
-    ok, cert = has_reduction_property(A, seed=seed, tol=tol)
-    if not ok:
+    if radical(A, tol).dim != 0:
         raise StructurePreconditionError("projection constants need the reduction property")
     n = A.ambient
     rng = np.random.default_rng(seed)
@@ -547,11 +526,13 @@ def projection_constant_estimate(
             return
         candidates.append(s)
 
-    if A.dim == 0 or cert.degenerate_dim == n:
+    e = algebra_identity_element(A, tol) if A.dim else np.zeros((n, n), dtype=complex)
+    if e is None:
+        raise NumericalDegeneracyError("semisimple algebra has no computable unit")
+    rank_e, range_e = rank_and_range(e, tol)
+    if rank_e == 0:
         add(Subspace.full(n))
     else:
-        e = algebra_identity_element(A, tol)
-        _, range_e = rank_and_range(e, tol)
         B = restriction_to_invariant(A, range_e, tol)
         pieces = [
             (Subspace.from_spanning(range_e.frame @ p.frame, ambient=n, tol=tol), lab)
@@ -579,7 +560,7 @@ def projection_constant_estimate(
                     T = T / max(operator_norm(T), 1e-30)
                     for lam in (1.0, *(rng.uniform(0.3, 3.0, size=3))):
                         add(_graph_subspace(group[i], group[j], T, lam, tol))
-        if cert.degenerate_dim:
+        if rank_e < n:
             # the annihilated summand is the kernel of the internal unit,
             # which is skew against its range in general
             _, ker_e = rank_and_range(identity(n) - e, tol)
@@ -603,7 +584,7 @@ def projection_constant_estimate(
     witnesses = []
     best = 0.0
     for s in candidates:
-        p = min_norm_module_projection(s, A, seed=seed, tol=tol)
+        p = min_norm_module_projection(s, A, tol=tol)
         nrm = operator_norm(p)
         witnesses.append((s, nrm))
         best = max(best, nrm)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraBasis, center_and_minimal_central_idempotents
+from .algebra import AlgebraBasis, center_and_minimal_central_idempotents, radical
 from .errors import (
     FamilyTooLargeError,
     NumericalDegeneracyError,
@@ -31,7 +31,6 @@ from .linalg import (
 from .modules import (
     Representation,
     algebra_identity_element,
-    has_reduction_property,
     irreducible_decomposition,
     restriction_to_invariant,
 )
@@ -269,8 +268,7 @@ def wedderburn_similarity(
     the matrix-unit renorming.  Stages compose into a single similarity.
     """
     n = A.ambient
-    ok, _ = has_reduction_property(A, seed=seed, tol=tol)
-    if not ok:
+    if radical(A, tol).dim != 0:
         raise StructurePreconditionError("algebra does not have the reduction property")
     if A.dim == 0:
         return WedderburnProfile(
