@@ -23,10 +23,12 @@ from .errors import (
 from .linalg import (
     Subspace,
     as_matrix,
+    eig_clusters,
     identity,
     null_space,
     operator_norm,
     rank_and_range,
+    sylvester_system,
 )
 from .tolerance import DEFAULT_TOL, Tolerance
 
@@ -182,12 +184,8 @@ def generate_algebra(
 def commutant(A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Basis of {T : Tb = bT for all b in A}, via a stacked Sylvester system."""
     n = A.ambient
-    if A.dim == 0:
-        return _basis_from_frame(np.eye(n * n, dtype=complex), n, unital=True)
-    I = identity(n)
-    rows = [np.kron(I, b.T) - np.kron(b, I) for b in A.basis]
-    N = null_space(np.vstack(rows), tol=tol)
-    return _basis_from_frame(N, n, unital=True)
+    B = np.reshape(A.basis, (-1, n, n))
+    return _basis_from_frame(null_space(sylvester_system(B, B), tol=tol), n, unital=True)
 
 
 def bicommutant(A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -230,7 +228,7 @@ def center_and_minimal_central_idempotents(
 
     The commutative semisimple centre is split by simultaneous diagonalisation
     of a random centre element; a fresh random element is drawn whenever
-    eigenvalue clusters collide (relative gap below 1e-6).
+    eigenvalue clusters collide (relative gap below 1e-6, see ``eig_clusters``).
     """
     n = A.ambient
     if not A.contains_identity(tol):
@@ -250,30 +248,24 @@ def center_and_minimal_central_idempotents(
     m = center.dim
 
     rng = np.random.default_rng(seed)
-    gap = 1e-6
     for _ in range(max_retries):
         coeff = rng.standard_normal(m)
         z = center.combine(coeff)
         evals, vecs = np.linalg.eig(z)
-        order = np.lexsort((evals.imag, evals.real))
-        evals, vecs = evals[order], vecs[:, order]
-        scale = max(1.0, float(np.max(np.abs(evals))))
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, n):
-            if abs(evals[i] - evals[clusters[-1][-1]]) <= gap * scale:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
+        clusters = eig_clusters(evals)
         if len(clusters) != m:
             continue
+        # invert in cluster order: the idempotents' roundoff, and so every report
+        # downstream, depends on the column order
+        order = np.concatenate(clusters)
+        vecs = vecs[:, order]
         try:
             vinv = np.linalg.inv(vecs)
         except np.linalg.LinAlgError:
             continue
         idems = []
         for cl in clusters:
-            d = np.zeros(n)
-            d[cl] = 1.0
+            d = np.isin(order, cl)
             idems.append(vecs @ np.diag(d.astype(complex)) @ vinv)
         if _verify_central_idempotents(idems, center, tol):
             idems.sort(key=lambda p: rank_and_range(p, tol)[1].canonical_key())

@@ -145,11 +145,7 @@ class Subspace:
         if V.shape[1] == 0:
             return Subspace(frame=np.zeros((n, 0), dtype=complex), ambient=n)
         W, sig, _ = np.linalg.svd(V, full_matrices=False)
-        if sig.size == 0 or sig[0] <= tol.rank_eps:
-            r = 0
-        else:
-            r = int(np.sum(sig > tol.rank_eps * sig[0]))
-        return Subspace(frame=W[:, :r], ambient=n)
+        return Subspace(frame=W[:, : _rank(sig, tol)], ambient=n)
 
     @staticmethod
     def zero(n: int) -> "Subspace":
@@ -222,30 +218,64 @@ class Subspace:
         return (self.dim, tuple(flat))
 
 
+def _rank(sig: np.ndarray, tol: Tolerance) -> int:
+    """Count of descending singular values above the relative rank cutoff; zero when
+    the largest is at the rank tolerance itself (roundoff at unit scale)."""
+    if sig.size == 0 or sig[0] <= tol.rank_eps:
+        return 0
+    return int(np.sum(sig > tol.rank_eps * sig[0]))
+
+
 def null_space(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the right null space at the rank tolerance.
 
     A constraint matrix at roundoff level (largest singular value below the
-    rank tolerance at unit scale) imposes no constraints at all.
+    rank tolerance at unit scale) imposes no constraints at all.  A tall
+    system is factored thin, without its unused rows x rows left factor.
     """
     M = as_matrix(M)
     if M.shape[0] == 0 or M.size == 0:
         return np.eye(M.shape[1], dtype=complex)
-    _, sig, Vh = np.linalg.svd(M)
-    if sig.size == 0 or sig[0] <= tol.rank_eps:
-        rank = 0
-    else:
-        rank = int(np.sum(sig > tol.rank_eps * sig[0]))
-    return Vh[rank:, :].conj().T
+    _, sig, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    return Vh[_rank(sig, tol) :, :].conj().T
+
+
+def sylvester_system(lefts, rights) -> np.ndarray:
+    """Stacked kron(I_p, r_j^T) - kron(l_j, I_q): the map X -> X r_j - l_j X on
+    row-major vec(X), for (k, p, p) ``lefts`` and (k, q, q) ``rights``.  An empty
+    family gives a 0 x pq system."""
+    lefts, rights = np.asarray(lefts, dtype=complex), np.asarray(rights, dtype=complex)
+    p, q = lefts.shape[-1], rights.shape[-1]
+    Ip, Iq = identity(p), identity(q)
+    rows = [np.kron(Ip, r.T) - np.kron(l, Iq) for l, r in zip(lefts, rights)]
+    return np.vstack([np.zeros((0, p * q), dtype=complex), *rows])
+
+
+def solve_consistent(M, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+    """Least-squares solution of Mx = b, or None when its residual exceeds
+    the comparison tolerance times max(1, ||b||)."""
+    x, *_ = np.linalg.lstsq(M, b, rcond=None)
+    if float(np.linalg.norm(M @ x - b)) > tol.eq_eps * max(1.0, float(np.linalg.norm(b))):
+        return None
+    return x
+
+
+def eig_clusters(evals: np.ndarray, rel_gap: float = 1e-6) -> list[list[int]]:
+    """Indices of ``evals`` in (real, imag) order, cut into clusters wherever
+    neighbours differ by more than ``rel_gap`` times max(1, largest modulus)."""
+    order = np.lexsort((evals.imag, evals.real))
+    scale = max(1.0, float(np.max(np.abs(evals)))) if evals.size else 1.0
+    clusters: list[list[int]] = []
+    for idx in order:
+        if clusters and abs(evals[idx] - evals[clusters[-1][-1]]) <= rel_gap * scale:
+            clusters[-1].append(int(idx))
+        else:
+            clusters.append([int(idx)])
+    return clusters
 
 
 def rank_and_range(M, tol: Tolerance = DEFAULT_TOL) -> tuple[int, Subspace]:
-    """Rank at the tolerance plus an orthonormal frame for the column space.
-
-    A matrix whose largest singular value sits at the rank tolerance itself is
-    treated as zero; the toolkit works with unit-scale operators, and without
-    the floor a roundoff-level matrix would count as full rank.
-    """
+    """Rank at the tolerance plus an orthonormal frame for the column space."""
     V = Subspace.from_spanning(as_matrix(M), tol=tol)
     return V.dim, V
 

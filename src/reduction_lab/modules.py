@@ -28,10 +28,13 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    eig_clusters,
     identity,
     null_space,
     operator_norm,
     rank_and_range,
+    solve_consistent,
+    sylvester_system,
 )
 from .tolerance import DEFAULT_TOL, Tolerance
 
@@ -171,25 +174,8 @@ def algebra_identity_element(
         )
     for bj in A.basis:
         rhs.append(np.concatenate([_vec(bj), _vec(bj)]))
-    M = np.column_stack(cols)
-    b = np.concatenate(rhs)
-    coeff, *_ = np.linalg.lstsq(M, b, rcond=None)
-    resid = float(np.linalg.norm(M @ coeff - b))
-    if resid > tol.eq_eps * max(1.0, float(np.linalg.norm(b))):
-        return None
-    return A.combine(coeff)
-
-
-def _eig_clusters(evals: np.ndarray, rel_gap: float = 1e-6) -> list[list[int]]:
-    order = np.lexsort((evals.imag, evals.real))
-    scale = max(1.0, float(np.max(np.abs(evals)))) if evals.size else 1.0
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and abs(evals[idx] - evals[clusters[-1][-1]]) <= rel_gap * scale:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return clusters
+    coeff = solve_consistent(np.column_stack(cols), np.concatenate(rhs), tol)
+    return None if coeff is None else A.combine(coeff)
 
 
 def irreducible_decomposition(
@@ -224,7 +210,7 @@ def irreducible_decomposition(
         for _ in range(max_retries):
             z = C.combine(rng.standard_normal(C.dim))
             evals, vecs = np.linalg.eig(z)
-            clusters = _eig_clusters(evals)
+            clusters = eig_clusters(evals)
             if len(clusters) < 2:
                 continue
             pieces = []
@@ -271,12 +257,11 @@ def intertwiners(
             raise InvalidWitnessError("intertwiners need invariant subspaces")
     if V.dim == 0 or W.dim == 0:
         return IntertwinerSpace(source=V, target=W, basis=[])
-    rows = []
-    for b in A.basis:
-        bV = V.frame.conj().T @ b @ V.frame
-        bW = W.frame.conj().T @ b @ W.frame
-        rows.append(np.kron(np.eye(W.dim), bV.T) - np.kron(bW, np.eye(V.dim)))
-    N = null_space(np.vstack(rows), tol=tol)
+
+    def restricted(S: Subspace) -> np.ndarray:
+        return np.reshape([S.frame.conj().T @ b @ S.frame for b in A.basis], (-1, S.dim, S.dim))
+
+    N = null_space(sylvester_system(restricted(W), restricted(V)), tol=tol)
     basis = [N[:, j].reshape(W.dim, V.dim) for j in range(N.shape[1])]
     return IntertwinerSpace(source=V, target=W, basis=basis)
 
@@ -289,10 +274,8 @@ def _module_projection_system(V: Subspace, A: AlgebraBasis):
     """
     n = A.ambient
     I = identity(n)
-    blocks = [np.kron(I, b.T) - np.kron(b, I) for b in A.basis]
-    Q = I - V.projector()
-    blocks.append(np.kron(Q, I))
-    H = np.vstack(blocks) if blocks else np.zeros((0, n * n), dtype=complex)
+    B = np.reshape(A.basis, (-1, n, n))
+    H = np.vstack([sylvester_system(B, B), np.kron(I - V.projector(), I)])
     E = np.kron(I, V.frame.T)
     rhs = _vec(V.frame)
     return H, E, rhs
@@ -308,13 +291,9 @@ def _feasible_module_projection(
     if V.dim == n:
         return identity(n)
     H, E, rhs = _module_projection_system(V, A)
-    M = np.vstack([H, E])
     b = np.concatenate([np.zeros(H.shape[0], dtype=complex), rhs])
-    x, *_ = np.linalg.lstsq(M, b, rcond=None)
-    resid = float(np.linalg.norm(M @ x - b))
-    if resid > tol.eq_eps * max(1.0, float(np.linalg.norm(b))):
-        return None
-    return _unvec(x, n)
+    x = solve_consistent(np.vstack([H, E]), b, tol)
+    return None if x is None else _unvec(x, n)
 
 
 def module_complement(
@@ -648,7 +627,7 @@ def sample_invariant_subspaces(
         for _ in range(4):
             z = C.combine(rng.standard_normal(C.dim))
             evals, vecs = np.linalg.eig(z)
-            for cl in _eig_clusters(evals):
+            for cl in eig_clusters(evals):
                 add(Subspace.from_spanning(vecs[:, cl], ambient=n, tol=tol))
 
     snapshot = list(out)
@@ -710,18 +689,9 @@ def solve_inner_derivation(
         raise MalformedInputError("need one derivation image per basis element")
     _check_derivation_identity(theta, delta, tol)
     m = theta.target_dim
-    I = np.eye(m, dtype=complex)
-    rows, rhs = [], []
-    for im, d in zip(theta.images, delta):
-        rows.append(np.kron(I, im.T) - np.kron(im, I))
-        rhs.append(_vec(d))
-    M = np.vstack(rows)
-    b = np.concatenate(rhs)
-    x, *_ = np.linalg.lstsq(M, b, rcond=None)
-    resid = float(np.linalg.norm(M @ x - b))
-    if resid > tol.eq_eps * max(1.0, float(np.linalg.norm(b))):
-        return None
-    return _unvec(x, m)
+    images = np.reshape(theta.images, (-1, m, m))
+    x = solve_consistent(sylvester_system(images, images), np.reshape(delta, -1), tol)
+    return None if x is None else _unvec(x, m)
 
 
 def build_hat_representation(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from reduction_lab.linalg import (
     principal_angle,
     projection_onto_along,
     rank_and_range,
+    sylvester_system,
 )
 from reduction_lab.sampling import random_complementary_pair, random_invertible
 
@@ -255,3 +257,37 @@ class TestSubspace:
     def test_null_space_of_noise_is_everything(self):
         N = null_space(1e-15 * np.ones((4, 4)))
         assert N.shape[1] == 4
+
+
+class TestNullSpaceKernel:
+    @pytest.mark.parametrize("shape", [(4096, 64), (64, 512)], ids=["tall", "wide"])
+    def test_memory_and_null_space(self, rng, shape):
+        rows, cols = shape
+        rank = 8
+
+        def gaussian(r, c):
+            return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+        M = gaussian(rows, rank) @ gaussian(rank, cols)
+        tracemalloc.start()
+        try:
+            N = null_space(M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a null space needs its input and its output; a tall system must not
+        # also build its rows x rows left singular factor
+        assert peak < 4 * (M.nbytes + N.nbytes)
+        assert N.shape == (cols, cols - rank)
+        assert np.allclose(N.conj().T @ N, np.eye(cols - rank), atol=1e-10)
+        assert operator_norm(M @ N) < 1e-10 * operator_norm(M)
+
+    def test_sylvester_system_applies_the_map(self, rng):
+        k, p, q = 3, 2, 4
+        L = rng.standard_normal((k, p, p)) + 1j * rng.standard_normal((k, p, p))
+        R = rng.standard_normal((k, q, q)) + 1j * rng.standard_normal((k, q, q))
+        X = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+        S = sylvester_system(L, R)
+        assert S.shape == (k * p * q, p * q)
+        want = np.concatenate([(X @ r - l @ X).reshape(-1) for l, r in zip(L, R)])
+        assert np.allclose(S @ X.reshape(-1), want)

@@ -152,6 +152,12 @@ class TestIntertwiners:
         with pytest.raises(InvalidWitnessError):
             intertwiners(Subspace.span_of_basis_vector(2, 1), Subspace.full(2), A)
 
+    def test_zero_algebra_intertwines_everything(self):
+        zero = AlgebraBasis(ambient=3, basis=[])
+        V = Subspace.from_spanning(np.eye(3)[:, :2])
+        W = Subspace.span_of_basis_vector(3, 2)
+        assert intertwiners(V, W, zero).dim == V.dim * W.dim
+
     def test_intertwiner_equation(self, rng):
         A = amplified_m2()
         dec = irreducible_decomposition(A)
@@ -404,6 +410,12 @@ class TestDerivations:
     def test_triangular_not_inner(self):
         theta, delta = triangular_rep_and_derivation()
         assert solve_inner_derivation(theta, delta) is None
+
+    def test_zero_algebra_derivation_is_inner(self):
+        theta = Representation(source=AlgebraBasis(ambient=2, basis=[]), target_dim=3, images=[])
+        T = solve_inner_derivation(theta, [])
+        assert T is not None and T.shape == (3, 3)
+        assert not T.any()
 
     def test_bad_derivation_rejected(self):
         A = generate_algebra([unit(2, 0, 1), unit(2, 1, 0)])
