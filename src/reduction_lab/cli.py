@@ -7,7 +7,8 @@ Spec files are JSON with complex entries as [re, im] pairs:
      "unital": true,
      "tolerance": {"eq_eps": 1e-8, "rank_eps": 1e-10}}
 
-Exit codes: 0 success, 1 malformed input, 2 structural precondition failure.
+Exit codes: 0 success, 1 malformed input, 2 structural precondition failure
+or numerical breakdown.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import sampling
 from .algebra import (
     commutant,
     generate_algebra,
-    radical,
     span_equal,
 )
 from .errors import (
@@ -52,14 +52,15 @@ from .linalg import (
 )
 from .modules import (
     Representation,
+    _projection_constant_estimate,
     build_hat_representation,
     has_reduction_property,
     min_norm_module_projection,
     module_complement,
-    projection_constant_estimate,
     solve_inner_derivation,
 )
 from .orthogonalize import (
+    _wedderburn_similarity,
     dixmier_orthogonalize,
     symmetric_difference_closure,
     wedderburn_similarity,
@@ -123,7 +124,6 @@ def load_algebra_spec(path: str) -> tuple[int, list, bool, Tolerance]:
 def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
     """Run the full pipeline on an algebra and collect the report dictionary."""
     t0 = time.perf_counter()
-    rad = radical(A, tol)
     verdict, cert = has_reduction_property(A, seed=seed, tol=tol)
     comm = commutant(A, tol)
     bicomm = commutant(comm, tol)
@@ -131,7 +131,7 @@ def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
         "algebra_dimension": A.dim,
         "ambient_dimension": A.ambient,
         "unital": bool(A.contains_identity(tol)),
-        "radical_dimension": rad.dim,
+        "radical_dimension": cert.radical_dim,
         "commutant_dimension": comm.dim,
         "bicommutant_equals_algebra": bool(span_equal(A, bicomm, tol)),
         "reduction_property": {"verdict": bool(verdict)},
@@ -144,8 +144,8 @@ def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
             "blocks": [list(b) for b in cert.blocks],
             "degenerate_dimension": cert.degenerate_dim,
         }
-        profile = wedderburn_similarity(A, seed=seed, tol=tol)
-        bound, _ = projection_constant_estimate(A, samples=samples, seed=seed, tol=tol)
+        profile = _wedderburn_similarity(A, cert, seed, tol)
+        bound, _ = _projection_constant_estimate(A, cert, samples, seed, tol)
         report["wedderburn_profile"] = [list(b) for b in profile.blocks]
         report["projection_constant_lower_bound"] = float(bound)
         report["similarity_condition"] = float(profile.similarity.condition)

@@ -274,7 +274,9 @@ def _module_projection_system(V: Subspace, A: AlgebraBasis):
     """
     n = A.ambient
     I = identity(n)
-    B = np.reshape(A.basis, (-1, n, n))
+    # the range rows are at unit scale; bring the basis there exactly, as ``radical`` does
+    top = max((float(np.linalg.norm(b)) for b in A.basis), default=1.0)
+    B = np.reshape(A.basis, (-1, n, n)) / 2.0 ** np.round(np.log2(top))
     H = np.vstack([sylvester_system(B, B), np.kron(I - V.projector(), I)])
     E = np.kron(I, V.frame.T)
     rhs = _vec(V.frame)
@@ -315,7 +317,8 @@ class ReductionCertificate:
 
     For a yes the certificate is a Wedderburn block profile; for a no it is a
     nonzero radical element together with an invariant subspace that admits no
-    module complement.
+    module complement.  A yes also keeps, for the later stages, the internal
+    unit and the class-labelled irreducible pieces of its range, lifted to C^n.
     """
 
     verdict: bool
@@ -323,30 +326,9 @@ class ReductionCertificate:
     degenerate_dim: int | None = None
     radical_element: np.ndarray | None = field(default=None, repr=False)
     witness: Subspace | None = None
-
-
-def _block_profile(
-    A: AlgebraBasis, seed: int, tol: Tolerance
-) -> tuple[tuple, int]:
-    """Wedderburn block profile (k_i, n_i) of a semisimple algebra, plus the
-    dimension of the summand annihilated by the algebra."""
-    n = A.ambient
-    if A.dim == 0:
-        return tuple(), n
-    e = algebra_identity_element(A, tol)
-    if e is None:
-        raise NumericalDegeneracyError("semisimple algebra has no computable unit")
-    rank_e, range_e = rank_and_range(e, tol)
-    degenerate = n - rank_e
-    if rank_e == 0:
-        return tuple(), n
-    B = restriction_to_invariant(A, range_e, tol)
-    pieces = irreducible_decomposition(B, seed=seed, tol=tol)
-    counts: dict[int, list[int]] = {}
-    for piece, label in pieces:
-        counts.setdefault(label, []).append(piece.dim)
-    blocks = sorted(((dims[0], len(dims)) for dims in counts.values()), reverse=True)
-    return tuple(blocks), degenerate
+    radical_dim: int = field(default=0, repr=False)
+    unit: np.ndarray | None = field(default=None, repr=False)
+    pieces: tuple = field(default=(), repr=False)
 
 
 def has_reduction_property(
@@ -358,15 +340,29 @@ def has_reduction_property(
     continuum, so the decision is made through semisimplicity; sampled
     complement searches cross-check it in the test suite.
     """
+    n = A.ambient
     rad = radical(A, tol)
-    if rad.dim == 0:
-        blocks, degenerate = _block_profile(A, seed, tol)
-        return True, ReductionCertificate(
-            verdict=True, blocks=blocks, degenerate_dim=degenerate
+    if rad.dim:
+        _, witness = rank_and_range(np.hstack(rad.basis), tol)
+        return False, ReductionCertificate(
+            False, radical_element=rad.basis[0], witness=witness, radical_dim=rad.dim
         )
-    r = rad.basis[0]
-    _, witness = rank_and_range(np.hstack(rad.basis), tol)
-    return False, ReductionCertificate(verdict=False, radical_element=r, witness=witness)
+    e = algebra_identity_element(A, tol) if A.dim else np.zeros((n, n), dtype=complex)
+    if e is None:
+        raise NumericalDegeneracyError("semisimple algebra has no computable unit")
+    rank_e, range_e = rank_and_range(e, tol)
+    pieces = []
+    if rank_e:
+        B = restriction_to_invariant(A, range_e, tol)
+        pieces = [
+            (Subspace.from_spanning(range_e.frame @ p.frame, ambient=n, tol=tol), lab)
+            for p, lab in irreducible_decomposition(B, seed=seed, tol=tol)
+        ]
+    labels = [lab for _, lab in pieces]
+    blocks = sorted({lab: (p.dim, labels.count(lab)) for p, lab in pieces}.values(), reverse=True)
+    return True, ReductionCertificate(
+        True, tuple(blocks), n - rank_e, unit=e, pieces=tuple(pieces)
+    )
 
 
 def _spectral_norm_minimiser(
@@ -479,17 +475,25 @@ def projection_constant_estimate(
     """
     if amplification not in (1, 2):
         raise MalformedInputError("only amplification levels 1 and 2 are supported")
+    cert = has_reduction_property(A, seed, tol)[1]
     if amplification == 2:
         doubled = AlgebraBasis(
             ambient=2 * A.ambient,
             basis=[np.kron(b, np.eye(2)) for b in A.basis],
             unital=A.unital,
         )
-        base, wit1 = projection_constant_estimate(A, samples, seed, tol, amplification=1)
+        base, wit1 = _projection_constant_estimate(A, cert, samples, seed, tol)
         high, wit2 = projection_constant_estimate(doubled, samples, seed, tol)
         witnesses = sorted(wit1 + wit2, key=lambda t: -t[1])
         return max(base, high), witnesses
-    if radical(A, tol).dim != 0:
+    return _projection_constant_estimate(A, cert, samples, seed, tol)
+
+
+def _projection_constant_estimate(
+    A: AlgebraBasis, cert: ReductionCertificate, samples: int, seed: int, tol: Tolerance
+) -> tuple[float, list]:
+    """``projection_constant_estimate`` at amplification 1, given the reduction certificate."""
+    if not cert.verdict:
         raise StructurePreconditionError("projection constants need the reduction property")
     n = A.ambient
     rng = np.random.default_rng(seed)
@@ -505,59 +509,47 @@ def projection_constant_estimate(
             return
         candidates.append(s)
 
-    e = algebra_identity_element(A, tol) if A.dim else np.zeros((n, n), dtype=complex)
-    if e is None:
-        raise NumericalDegeneracyError("semisimple algebra has no computable unit")
-    rank_e, range_e = rank_and_range(e, tol)
-    if rank_e == 0:
-        add(Subspace.full(n))
-    else:
-        B = restriction_to_invariant(A, range_e, tol)
-        pieces = [
-            (Subspace.from_spanning(range_e.frame @ p.frame, ambient=n, tol=tol), lab)
-            for p, lab in irreducible_decomposition(B, seed=seed, tol=tol)
-        ]
-        for p, _ in pieces:
-            add(p)
-        by_label: dict[int, list[Subspace]] = {}
-        for p, lab in pieces:
-            by_label.setdefault(lab, []).append(p)
-        for group in by_label.values():
-            if len(group) > 1:
-                iso = group[0]
-                for q in group[1:]:
-                    iso = iso.join(q, tol)
-                add(iso)
-        # graph subspaces between isomorphic pieces
-        for group in by_label.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    tw = intertwiners(group[i], group[j], A, tol)
-                    if tw.dim == 0:
-                        continue
-                    T = tw.basis[0]
-                    T = T / max(operator_norm(T), 1e-30)
-                    for lam in (1.0, *(rng.uniform(0.3, 3.0, size=3))):
-                        add(_graph_subspace(group[i], group[j], T, lam, tol))
-        if rank_e < n:
-            # the annihilated summand is the kernel of the internal unit,
-            # which is skew against its range in general
-            _, ker_e = rank_and_range(identity(n) - e, tol)
-            add(ker_e)
-        # random unions of pieces (bounded number of draws; duplicates are dropped)
-        if len(pieces) > 1:
-            for _ in range(2 * samples):
-                if len(candidates) >= samples:
-                    break
-                mask = rng.integers(0, 2, size=len(pieces))
-                if not mask.any():
+    for p, _ in cert.pieces:
+        add(p)
+    by_label: dict[int, list[Subspace]] = {}
+    for p, lab in cert.pieces:
+        by_label.setdefault(lab, []).append(p)
+    for group in by_label.values():
+        if len(group) > 1:
+            iso = group[0]
+            for q in group[1:]:
+                iso = iso.join(q, tol)
+            add(iso)
+    # graph subspaces between isomorphic pieces
+    for group in by_label.values():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                tw = intertwiners(group[i], group[j], A, tol)
+                if tw.dim == 0:
                     continue
-                s = Subspace.zero(n)
-                for flag, (p, _) in zip(mask, pieces):
-                    if flag:
-                        s = s.join(p, tol)
-                add(s)
-        add(Subspace.full(n))
+                T = tw.basis[0]
+                T = T / max(operator_norm(T), 1e-30)
+                for lam in (1.0, *(rng.uniform(0.3, 3.0, size=3))):
+                    add(_graph_subspace(group[i], group[j], T, lam, tol))
+    if cert.degenerate_dim:
+        # the annihilated summand (everything, for a zero unit) is the kernel
+        # of the internal unit, which is skew against its range in general
+        _, ker_e = rank_and_range(identity(n) - cert.unit, tol)
+        add(ker_e)
+    # random unions of pieces (bounded number of draws; duplicates are dropped)
+    if len(cert.pieces) > 1:
+        for _ in range(2 * samples):
+            if len(candidates) >= samples:
+                break
+            mask = rng.integers(0, 2, size=len(cert.pieces))
+            if not mask.any():
+                continue
+            s = Subspace.zero(n)
+            for flag, (p, _) in zip(mask, cert.pieces):
+                if flag:
+                    s = s.join(p, tol)
+            add(s)
+    add(Subspace.full(n))
 
     candidates = candidates[: max(samples, 1)]
     witnesses = []

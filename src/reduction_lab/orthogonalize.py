@@ -4,7 +4,7 @@ Dixmier averaging over the finite group generated by commuting idempotents,
 single-projection renorming, matrix-unit orthogonalisation, and the full
 Wedderburn pipeline.  The amenable-group averaging specialises to the finite
 symmetric-difference group, where the invariant mean is the exact uniform
-average.
+average; it is taken in closed form, as a sum over the atoms of the family.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraBasis, center_and_minimal_central_idempotents, radical
+from .algebra import AlgebraBasis, center_and_minimal_central_idempotents
 from .errors import (
     FamilyTooLargeError,
     NumericalDegeneracyError,
@@ -29,8 +29,9 @@ from .linalg import (
     rank_and_range,
 )
 from .modules import (
+    ReductionCertificate,
     Representation,
-    algebra_identity_element,
+    has_reduction_property,
     irreducible_decomposition,
     restriction_to_invariant,
 )
@@ -132,8 +133,11 @@ def dixmier_orthogonalize(P, tol: Tolerance = DEFAULT_TOL) -> SimilarityReport:
 
     Averages g* g over the finite abelian group {1 - 2p} obtained from the
     symmetric-difference closure of the family and takes the positive square
-    root.  The condition is guaranteed within (1 + 2 max ||p||)^2 and is
-    usually far smaller; for a single idempotent it equals ||1 - 2p||.
+    root.  The mean is exactly the sum of a* a over the at most n atoms
+    (nonzero products of p_i or 1 - p_i, one factor per member): they sum to 1,
+    each g is +1 or -1 on each, and the cross terms average to zero.  The
+    condition is guaranteed within (1 + 2 max ||p||)^2 and is usually far
+    smaller; for a single idempotent it equals ||1 - 2p||.
     """
     mats = [as_matrix(p) for p in P]
     if not mats:
@@ -150,13 +154,11 @@ def dixmier_orthogonalize(P, tol: Tolerance = DEFAULT_TOL) -> SimilarityReport:
             if operator_norm(p @ q - q @ p) > tol.eq_eps * scale:
                 raise StructurePreconditionError("idempotents do not commute")
 
-    family = symmetric_difference_closure(mats, tol)
-    I = identity(n)
-    M = np.zeros((n, n), dtype=complex)
-    for p in family:
-        g = I - 2 * p
-        M += g.conj().T @ g
-    M /= len(family)
+    atoms = [identity(n)]
+    for p in mats:
+        # a nonzero idempotent has norm at least 1, so the cut needs no tolerance
+        atoms = [b for a in atoms for b in (a @ p, a - a @ p) if operator_norm(b) >= 0.5]
+    M = sum(a.conj().T @ a for a in atoms)
     S = matrix_sqrt_positive(M, tol)
     return SimilarityReport.from_matrix(S)
 
@@ -267,8 +269,15 @@ def wedderburn_similarity(
     central block build matrix units from an irreducible submodule and apply
     the matrix-unit renorming.  Stages compose into a single similarity.
     """
+    return _wedderburn_similarity(A, has_reduction_property(A, seed, tol)[1], seed, tol)
+
+
+def _wedderburn_similarity(
+    A: AlgebraBasis, cert: ReductionCertificate, seed: int, tol: Tolerance
+) -> WedderburnProfile:
+    """``wedderburn_similarity`` from the algebra's reduction certificate."""
     n = A.ambient
-    if radical(A, tol).dim != 0:
+    if not cert.verdict:
         raise StructurePreconditionError("algebra does not have the reduction property")
     if A.dim == 0:
         return WedderburnProfile(
@@ -289,13 +298,11 @@ def wedderburn_similarity(
         basis = [rep.conjugate(b) for b in basis]
 
     # stage 1: orthogonalise the internal unit against the annihilated summand
-    e = algebra_identity_element(A, tol)
-    if e is None:
-        raise NumericalDegeneracyError("stage 'degenerate-split': no internal unit found")
+    e = cert.unit
     if operator_norm(e @ e - e) > tol.eq_eps * max(1.0, operator_norm(e)) ** 2:
         raise NumericalDegeneracyError("stage 'degenerate-split': unit is not idempotent")
     push(renorm_from_projection(e, tol).S, "degenerate-split")
-    e = total @ algebra_identity_element(A, tol) @ np.linalg.inv(total)
+    e = total @ e @ np.linalg.inv(total)
     rank_e, range_e = rank_and_range((e + e.conj().T) / 2, tol)
     degenerate_dim = n - rank_e
     if rank_e == 0:

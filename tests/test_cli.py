@@ -6,7 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from reduction_lab.cli import SEED_ENV_VAR, build_parser, main
+from reduction_lab import algebra, modules
+from reduction_lab.algebra import AlgebraBasis
+from reduction_lab.cli import SEED_ENV_VAR, analysis_report, build_parser, main
+from reduction_lab.gallery import a_lambda, truncated_graph_example
+from reduction_lab.sampling import random_semisimple_algebra
+from reduction_lab.tolerance import DEFAULT_TOL
 
 
 def write_spec(path, dimension, generators, unital):
@@ -133,6 +138,64 @@ class TestAnalyze:
         assert code == 0
         report = json.loads(out)
         assert report["radical_dimension"] == 1
+
+
+def record_calls(monkeypatch, fn, first_args):
+    """Append the first argument of every call of ``fn`` to ``first_args``.
+
+    ``fn`` is replaced in every ``reduction_lab`` namespace that binds it, so
+    calls made inside its own module are seen too.
+    """
+
+    def wrapper(*args, **kwargs):
+        first_args.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reduction_lab"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+class TestAnalysisReport:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: truncated_graph_example(4, 0.5), lambda: a_lambda(2.0)],
+        ids=["truncated_graph_example(4, 0.5)", "a_lambda(2.0)"],
+    )
+    def test_radical_and_unit_computed_once(self, monkeypatch, make):
+        A = make()
+        radical_args, unit_args = [], []
+        record_calls(monkeypatch, algebra.radical, radical_args)
+        record_calls(monkeypatch, modules.algebra_identity_element, unit_args)
+        report = analysis_report(A, seed=42, samples=24, tol=DEFAULT_TOL)
+        assert report["reduction_property"]["verdict"] is True
+        assert sum(arg is A for arg in radical_args) == 1
+        assert len(unit_args) == 1
+
+    def test_invariant_under_basis_scale_change_and_unitary(self):
+        rng = np.random.default_rng(3)
+        cases = [random_semisimple_algebra(rng, max_dim=6, allow_degenerate=True) for _ in range(15)]
+        for A, blocks, degenerate in cases:
+            n, d = A.ambient, A.dim
+            R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            variants = [
+                list(A.basis),
+                [1e-6 * b for b in A.basis],
+                [1e6 * b for b in A.basis],
+                list(np.tensordot(R, np.asarray(A.basis), 1)),
+                [U @ b @ U.conj().T for b in A.basis],
+            ]
+            profile = [list(b) for b in blocks]
+            for basis in variants:
+                B = AlgebraBasis(ambient=n, basis=basis, unital=A.unital)
+                report = analysis_report(B, seed=42, samples=24, tol=DEFAULT_TOL)
+                cert = report["reduction_property"]["certificate"]
+                assert report["reduction_property"]["verdict"] is True
+                assert cert["blocks"] == report["wedderburn_profile"] == profile
+                assert cert["degenerate_dimension"] == degenerate
 
 
 class TestGallery:

@@ -107,6 +107,30 @@ class TestDixmier:
         for p in closed:
             assert operator_norm(p @ p - p) < 1e-8 * max(1.0, operator_norm(p)) ** 2
 
+    def test_closed_form_equals_group_average(self, rng):
+        # the sum over atoms against the enumerated average of g* g over the
+        # group {1 - 2p : p in the symmetric-difference closure}
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            fam = random_commuting_idempotents(rng, n, int(rng.integers(1, 6)))
+            closed = symmetric_difference_closure(fam)
+            gs = [np.eye(n) - 2 * p for p in closed]
+            average = sum(g.conj().T @ g for g in gs) / len(gs)
+            S = dixmier_orthogonalize(fam).S
+            assert operator_norm(S @ S - average) <= 1e-12 * operator_norm(average)
+
+    def test_sixteen_coordinate_idempotents(self, rng):
+        # the closure of this family has 2^16 elements, past its cap
+        n = 16
+        Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        C = Q @ (np.eye(n) + 0.5 * np.triu(np.ones((n, n)), 1))
+        C_inv = np.linalg.inv(C)
+        fam = [C @ unit(n, i, i) @ C_inv for i in range(n)]
+        rep = dixmier_orthogonalize(fam)
+        for p in fam:
+            c = rep.conjugate(p)
+            assert operator_norm(c - c.conj().T) <= 1e-8 * operator_norm(p)
+
 
 class TestRenorm:
     def test_hermitian_projection_gives_identity(self):
