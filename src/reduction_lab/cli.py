@@ -145,7 +145,7 @@ def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
             "degenerate_dimension": cert.degenerate_dim,
         }
         profile = _wedderburn_similarity(A, cert, seed, tol)
-        bound, _ = _projection_constant_estimate(A, cert, samples, seed, tol)
+        bound, _ = _projection_constant_estimate(A, cert, comm, samples, seed, tol)
         report["wedderburn_profile"] = [list(b) for b in profile.blocks]
         report["projection_constant_lower_bound"] = float(bound)
         report["similarity_condition"] = float(profile.similarity.condition)

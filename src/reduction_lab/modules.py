@@ -28,6 +28,7 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    check_finite,
     eig_clusters,
     identity,
     null_space,
@@ -134,17 +135,25 @@ class IntertwinerSpace:
         return len(self.basis)
 
 
+def _opnorms(X: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of matrices held in the last two axes."""
+    return np.linalg.norm(X, 2, axis=(-2, -1))
+
+
 def invariant(V: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether AV is contained in V at the comparison tolerance."""
+    """Whether AV is contained in V at the comparison tolerance.
+
+    The whole basis is tested at once: one stacked product (I - P_V) b F over
+    the basis b, for the frame F of V, and one batched operator norm.
+    """
     if V.ambient != A.ambient:
         raise MalformedInputError("subspace and algebra live in different spaces")
     if V.dim == 0:
         return True
-    Q = identity(A.ambient) - V.projector()
-    for b in A.basis:
-        if operator_norm(Q @ b @ V.frame) > tol.eq_eps * max(1.0, operator_norm(b)):
-            return False
-    return True
+    B = np.reshape(A.basis, (-1, A.ambient, A.ambient))
+    R = (identity(A.ambient) - V.projector()) @ B @ V.frame
+    check_finite(R)
+    return bool(np.all(_opnorms(R) <= tol.eq_eps * np.maximum(1.0, _opnorms(B))))
 
 
 def restriction_to_invariant(
@@ -266,48 +275,51 @@ def intertwiners(
     return IntertwinerSpace(source=V, target=W, basis=basis)
 
 
-def _module_projection_system(V: Subspace, A: AlgebraBasis):
-    """Constraint blocks for projections in the commutant with range V.
+def _module_projection_family(V: Subspace, comm: AlgebraBasis, tol: Tolerance):
+    """The least-Frobenius module projection onto V and a basis of its free directions.
 
-    Returns (H, E, rhs): H x = 0 are the homogeneous constraints (commutation
-    and range containment), E x = rhs pins the projection to fix V pointwise.
+    ``comm`` is the commutant, whose basis is orthonormal in the Frobenius
+    inner product.  A module projection onto V is p = sum_i y_i C_i over that
+    basis with range inside V, (I - P_V) p = 0, that fixes V pointwise,
+    p F = F for the frame F of V.  These rows are all at unit scale, whatever
+    the scale of the algebra's basis, and there are only dim(commutant)
+    unknowns.  As the C_i are orthonormal, the least-norm y gives the
+    least-Frobenius p0, and an orthonormal null space gives Frobenius-
+    orthonormal directions.  Returns (p0, D) with D a (k, n, n) stack, or
+    None when no module projection exists.
     """
-    n = A.ambient
-    I = identity(n)
-    # the range rows are at unit scale; bring the basis there exactly, as ``radical`` does
-    top = max((float(np.linalg.norm(b)) for b in A.basis), default=1.0)
-    B = np.reshape(A.basis, (-1, n, n)) / 2.0 ** np.round(np.log2(top))
-    H = np.vstack([sylvester_system(B, B), np.kron(I - V.projector(), I)])
-    E = np.kron(I, V.frame.T)
-    rhs = _vec(V.frame)
-    return H, E, rhs
-
-
-def _feasible_module_projection(
-    V: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray | None:
-    """A module projection onto V, or None when the affine system is infeasible."""
-    n = A.ambient
-    if V.dim == 0:
-        return np.zeros((n, n), dtype=complex)
-    if V.dim == n:
-        return identity(n)
-    H, E, rhs = _module_projection_system(V, A)
-    b = np.concatenate([np.zeros(H.shape[0], dtype=complex), rhs])
-    x = solve_consistent(np.vstack([H, E]), b, tol)
-    return None if x is None else _unvec(x, n)
+    n = V.ambient
+    if V.dim in (0, n):
+        p0 = np.zeros((n, n), dtype=complex) if V.dim == 0 else identity(n)
+        return p0, np.zeros((0, n, n), dtype=complex)
+    C = np.reshape(comm.basis, (-1, n, n))
+    M = np.vstack(
+        [
+            ((identity(n) - V.projector()) @ C).reshape(len(C), -1).T,
+            (C @ V.frame).reshape(len(C), -1).T,
+        ]
+    )
+    rhs = np.concatenate([np.zeros(n * n, dtype=complex), _vec(V.frame)])
+    y = solve_consistent(M, rhs, tol)
+    if y is None:
+        return None
+    return np.tensordot(y, C, 1), np.tensordot(null_space(M, tol=tol).T, C, 1)
 
 
 def module_complement(
     V: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL
 ) -> Subspace | None:
-    """An invariant complement of V, or None when no module projection exists."""
+    """An invariant complement of V, or None when no module projection exists.
+
+    The complement is the kernel of the least-Frobenius module projection
+    onto V, solved in the coordinates of the commutant.
+    """
     if not invariant(V, A, tol):
         raise InvalidWitnessError("module complements need an invariant subspace")
-    p = _feasible_module_projection(V, A, tol)
-    if p is None:
+    family = _module_projection_family(V, commutant(A, tol), tol)
+    if family is None:
         return None
-    _, ker = rank_and_range(identity(A.ambient) - p, tol)
+    _, ker = rank_and_range(identity(A.ambient) - family[0], tol)
     return ker
 
 
@@ -371,47 +383,91 @@ def _spectral_norm_minimiser(
     iters: int = 500,
     rel_stop: float = 1e-8,
 ) -> np.ndarray:
-    """Minimise ||P0 + sum_j c_j D_j|| over complex coefficients c.
+    """Minimise ||P0[w] + sum_j c_j D[w, j]|| over complex coefficients c, for each w.
 
-    ``D`` stacks the k directions as a (k, n, n) array.  One subgradient
-    descent from c = 0: with (u, v) the top singular pair of the iterate, the
-    subgradient in c_j is conj(u* D_j v).  The problem is convex, so a single
-    descent suffices.  Steps are Polyak steps towards a fraction gamma below
-    the best value so far, never below 1, the least norm of a nonzero
-    idempotent.  gamma halves after 25 steps without progress and whenever
-    the iterate already meets the target; the descent ends when gamma falls
-    below 1e-12 or after ``iters`` steps.  The best iterate is returned, so
-    its norm bounds the minimum from above.
+    ``P0`` is a (W, n, n) stack and ``D`` holds the directions of each as a
+    (W, k, n, n) array, zero-padded where the counts differ (a zero direction
+    gets a zero subgradient, so its coefficient stays 0).  A 2-D ``P0`` with
+    (k, n, n) directions is a stack of one, and a 2-D result is returned.
+
+    Each w runs one subgradient descent from c = 0: with (u, v) the top
+    singular pair of the iterate, the subgradient in c_j is conj(u* D_j v).
+    The problem is convex, so a single descent suffices.  Steps are Polyak
+    steps towards a fraction gamma below the best value so far, never below
+    1, the least norm of a nonzero idempotent.  gamma halves after 25 steps
+    without progress and whenever the iterate already meets the target; a
+    descent ends when its gamma falls below 1e-12 or after ``iters`` steps.
+    The descents share one loop with one batched SVD per step, and a finished
+    one drops out.  The best iterate of each is returned, so its norm bounds
+    that minimum from above.
     """
-    if len(D) == 0:
-        return P0
-    c = c_best = np.zeros(len(D), dtype=complex)
-    f_best = f_stall = np.inf
-    gamma, stall = 0.25, 0
+    if P0.ndim == 2:
+        return _spectral_norm_minimiser(P0[None], D[None], iters, rel_stop)[0]
+    W, k = D.shape[:2]
+    c = np.zeros((W, k), dtype=complex)
+    c_best = c.copy()
+    f_best, f_stall = np.full(W, np.inf), np.full(W, np.inf)
+    gamma, stall = np.full(W, 0.25), np.zeros(W, dtype=int)
+    live = np.arange(W if k else 0)
     for _ in range(iters):
-        U, s, Vh = np.linalg.svd(P0 + np.tensordot(c, D, 1))
-        f = float(s[0])
-        g = np.einsum("i,kij,j->k", U[:, 0].conj(), D, Vh[0].conj()).conj()
-        if f < f_best * (1 - rel_stop):
-            f_best, c_best = f, c
-        if f < f_stall * (1 - 1e-10):
-            f_stall, stall = f, 0
-        else:
-            stall += 1
-            if stall >= 25:
-                gamma *= 0.5
-                stall = 0
-                if gamma < 1e-12:
-                    break
-        target = max(1.0 - 1e-12, f_best * (1 - gamma))
-        gnorm2 = float(np.vdot(g, g).real)
-        if gnorm2 < 1e-24 or f <= target:
-            gamma *= 0.5
-            if gamma < 1e-12:
-                break
-            continue
-        c = c - ((f - target) / gnorm2) * g
-    return P0 + np.tensordot(c_best, D, 1)
+        if not live.size:
+            break
+        cl, Dl = c[live], D[live]
+        U, s, Vh = np.linalg.svd(P0[live] + np.einsum("wk,wkij->wij", cl, Dl))
+        f = s[:, 0]
+        g = np.einsum("wi,wkij,wj->wk", U[:, :, 0].conj(), Dl, Vh[:, 0].conj()).conj()
+        better = f < f_best[live] * (1 - rel_stop)
+        f_best[live[better]], c_best[live[better]] = f[better], cl[better]
+        moved = f < f_stall[live] * (1 - 1e-10)
+        f_stall[live[moved]] = f[moved]
+        stall[live] = np.where(moved, 0, stall[live] + 1)
+        slow = stall[live] >= 25
+        gamma[live[slow]] *= 0.5
+        stall[live[slow]] = 0
+        done = slow & (gamma[live] < 1e-12)
+        target = np.maximum(1.0 - 1e-12, f_best[live] * (1 - gamma[live]))
+        gnorm2 = np.einsum("wk,wk->w", g.conj(), g).real
+        hold = ~done & ((gnorm2 < 1e-24) | (f <= target))
+        gamma[live[hold]] *= 0.5
+        done |= hold & (gamma[live] < 1e-12)
+        step = ~(done | hold)
+        c[live[step]] = cl[step] - ((f - target)[step] / gnorm2[step])[:, None] * g[step]
+        live = live[~done]
+    return P0 + np.einsum("wk,wkij->wij", c_best, D)
+
+
+def _min_norm_module_projections(
+    subspaces: list, A: AlgebraBasis, comm: AlgebraBasis, tol: Tolerance
+) -> np.ndarray:
+    """Module projections of least operator norm onto each of ``subspaces``, stacked.
+
+    Each subspace gets its own commutant-coordinate system (see
+    ``_module_projection_family``); then one stacked descent runs over every
+    subspace V with 0 < dim V < n, and one batched check re-verifies each
+    result there as an idempotent commuting with the algebra.
+    """
+    n = A.ambient
+    families = [_module_projection_family(V, comm, tol) for V in subspaces]
+    if any(f is None for f in families):
+        raise NotComplementableError("subspace admits no module projection")
+    P = np.array([p0 for p0, _ in families])
+    free = [i for i, V in enumerate(subspaces) if 0 < V.dim < n]
+    if not free:
+        return P
+    D = np.zeros((len(free), max(len(families[i][1]) for i in free), n, n), dtype=complex)
+    for row, i in enumerate(free):
+        D[row, : len(families[i][1])] = families[i][1]
+    p = _spectral_norm_minimiser(P[free], D)
+
+    scale = np.maximum(1.0, _opnorms(p))
+    if not np.all(_opnorms(p @ p - p) <= 1e-6 * scale**2):
+        raise NumericalDegeneracyError("minimiser drifted off the idempotent manifold")
+    B = np.reshape(A.basis, (-1, n, n))
+    drift = _opnorms(p[:, None] @ B - B @ p[:, None])
+    if not np.all(drift <= 1e-6 * scale[:, None] * np.maximum(1.0, _opnorms(B))):
+        raise NumericalDegeneracyError("minimiser drifted out of the commutant")
+    P[free] = p
+    return P
 
 
 def min_norm_module_projection(
@@ -422,28 +478,13 @@ def min_norm_module_projection(
     """Module projection onto V of (approximately) minimal operator norm.
 
     Minimises over the affine family p0 + d with d in the commutant, range(d)
-    inside V and d vanishing on V; the result is re-verified to be an
-    idempotent commuting with the algebra, with range V.
+    inside V and d vanishing on V, solved in the coordinates of the
+    commutant (see ``_module_projection_family``); the result is re-verified
+    to be an idempotent commuting with the algebra, with range V.
     """
     if not invariant(V, A, tol):
         raise InvalidWitnessError("need an invariant subspace")
-    p0 = _feasible_module_projection(V, A, tol)
-    if p0 is None:
-        raise NotComplementableError("subspace admits no module projection")
-    if V.dim in (0, A.ambient):
-        return p0
-    H, E, _ = _module_projection_system(V, A)
-    N = null_space(np.vstack([H, E]), tol=tol)
-    n = A.ambient
-    p = _spectral_norm_minimiser(p0, N.T.reshape(N.shape[1], n, n))
-
-    scale = max(1.0, operator_norm(p))
-    if operator_norm(p @ p - p) > 1e-6 * scale**2:
-        raise NumericalDegeneracyError("minimiser drifted off the idempotent manifold")
-    for b in A.basis:
-        if operator_norm(p @ b - b @ p) > 1e-6 * scale * max(1.0, operator_norm(b)):
-            raise NumericalDegeneracyError("minimiser drifted out of the commutant")
-    return p
+    return _min_norm_module_projections([V], A, commutant(A, tol), tol)[0]
 
 
 def _graph_subspace(
@@ -476,23 +517,34 @@ def projection_constant_estimate(
     if amplification not in (1, 2):
         raise MalformedInputError("only amplification levels 1 and 2 are supported")
     cert = has_reduction_property(A, seed, tol)[1]
+    comm = commutant(A, tol)
     if amplification == 2:
         doubled = AlgebraBasis(
             ambient=2 * A.ambient,
             basis=[np.kron(b, np.eye(2)) for b in A.basis],
             unital=A.unital,
         )
-        base, wit1 = _projection_constant_estimate(A, cert, samples, seed, tol)
+        base, wit1 = _projection_constant_estimate(A, cert, comm, samples, seed, tol)
         high, wit2 = projection_constant_estimate(doubled, samples, seed, tol)
         witnesses = sorted(wit1 + wit2, key=lambda t: -t[1])
         return max(base, high), witnesses
-    return _projection_constant_estimate(A, cert, samples, seed, tol)
+    return _projection_constant_estimate(A, cert, comm, samples, seed, tol)
 
 
 def _projection_constant_estimate(
-    A: AlgebraBasis, cert: ReductionCertificate, samples: int, seed: int, tol: Tolerance
+    A: AlgebraBasis,
+    cert: ReductionCertificate,
+    comm: AlgebraBasis,
+    samples: int,
+    seed: int,
+    tol: Tolerance,
 ) -> tuple[float, list]:
-    """``projection_constant_estimate`` at amplification 1, given the reduction certificate."""
+    """``projection_constant_estimate`` at amplification 1, given the reduction
+    certificate and the commutant ``comm`` of A.
+
+    Every candidate's least-norm module projection comes from one pass
+    (``_min_norm_module_projections``): one stacked descent for all of them.
+    """
     if not cert.verdict:
         raise StructurePreconditionError("projection constants need the reduction property")
     n = A.ambient
@@ -536,14 +588,18 @@ def _projection_constant_estimate(
         # of the internal unit, which is skew against its range in general
         _, ker_e = rank_and_range(identity(n) - cert.unit, tol)
         add(ker_e)
-    # random unions of pieces (bounded number of draws; duplicates are dropped)
+    # random unions of pieces (bounded number of draws; a mask drawn before
+    # gives the same join, so it is skipped before the join is built)
     if len(cert.pieces) > 1:
+        drawn = set()
         for _ in range(2 * samples):
             if len(candidates) >= samples:
                 break
             mask = rng.integers(0, 2, size=len(cert.pieces))
-            if not mask.any():
+            key = mask.tobytes()
+            if not mask.any() or key in drawn:
                 continue
+            drawn.add(key)
             s = Subspace.zero(n)
             for flag, (p, _) in zip(mask, cert.pieces):
                 if flag:
@@ -552,15 +608,9 @@ def _projection_constant_estimate(
     add(Subspace.full(n))
 
     candidates = candidates[: max(samples, 1)]
-    witnesses = []
-    best = 0.0
-    for s in candidates:
-        p = min_norm_module_projection(s, A, tol=tol)
-        nrm = operator_norm(p)
-        witnesses.append((s, nrm))
-        best = max(best, nrm)
-    witnesses.sort(key=lambda t: -t[1])
-    return best, witnesses
+    norms = _opnorms(_min_norm_module_projections(candidates, A, comm, tol)).tolist()
+    witnesses = sorted(zip(candidates, norms), key=lambda t: -t[1])
+    return max(norms), witnesses
 
 
 def sample_invariant_subspaces(

@@ -166,13 +166,15 @@ class TestAnalysisReport:
     )
     def test_radical_and_unit_computed_once(self, monkeypatch, make):
         A = make()
-        radical_args, unit_args = [], []
+        radical_args, unit_args, commutant_args = [], [], []
         record_calls(monkeypatch, algebra.radical, radical_args)
         record_calls(monkeypatch, modules.algebra_identity_element, unit_args)
+        record_calls(monkeypatch, algebra.commutant, commutant_args)
         report = analysis_report(A, seed=42, samples=24, tol=DEFAULT_TOL)
         assert report["reduction_property"]["verdict"] is True
         assert sum(arg is A for arg in radical_args) == 1
         assert len(unit_args) == 1
+        assert sum(arg is A for arg in commutant_args) == 1
 
     def test_invariant_under_basis_scale_change_and_unitary(self):
         rng = np.random.default_rng(3)

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
-from reduction_lab.algebra import AlgebraBasis, generate_algebra, radical
+from reduction_lab import modules
+from reduction_lab.algebra import AlgebraBasis, commutant, generate_algebra, radical
 from reduction_lab.errors import (
     InvalidWitnessError,
     MalformedDerivationError,
     MalformedInputError,
     NotComplementableError,
+    NumericalDegeneracyError,
     StructurePreconditionError,
 )
-from reduction_lab.gallery import a_lambda, all_reflexive_transitive_digraphs, digraph_algebra
-from reduction_lab.linalg import Subspace, null_space, operator_norm
+from reduction_lab.gallery import (
+    a_lambda,
+    all_reflexive_transitive_digraphs,
+    digraph_algebra,
+    truncated_graph_example,
+)
+from reduction_lab.linalg import Subspace, null_space, operator_norm, sylvester_system
 from reduction_lab.modules import (
     Representation,
-    _feasible_module_projection,
-    _module_projection_system,
+    _module_projection_family,
     _spectral_norm_minimiser,
     build_hat_representation,
     has_reduction_property,
@@ -34,6 +40,7 @@ from reduction_lab.sampling import (
     random_invertible,
     random_semisimple_algebra,
 )
+from reduction_lab.tolerance import DEFAULT_TOL
 
 from conftest import unit
 
@@ -48,6 +55,20 @@ def diagonal_2():
     return generate_algebra(
         [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     )
+
+
+def dense_projection_system(V, A):
+    """The module-projection system in all n^2 entries of p, as (M, b) with M vec(p) = b.
+
+    Rows: commutation with the basis, range inside V, and p fixing V pointwise;
+    the reference that the commutant-coordinate route is checked against.
+    """
+    n = A.ambient
+    I = np.eye(n)
+    B = np.reshape(A.basis, (-1, n, n))
+    M = np.vstack([sylvester_system(B, B), np.kron(I - V.projector(), I), np.kron(I, V.frame.T)])
+    b = np.concatenate([np.zeros(len(M) - n * V.dim, dtype=complex), V.frame.reshape(-1)])
+    return M, b
 
 
 def amplified_m2():
@@ -77,6 +98,35 @@ class TestInvariant:
 
     def test_second_line_not_invariant(self):
         assert not invariant(Subspace.span_of_basis_vector(2, 1), upper_triangular_2())
+
+    def test_batched_test_matches_elementwise_loop(self, rng):
+        def reference(V, A, tol=DEFAULT_TOL):
+            if V.dim == 0:
+                return True
+            Q = np.eye(A.ambient) - V.projector()
+            return all(
+                operator_norm(Q @ b @ V.frame) <= tol.eq_eps * max(1.0, operator_norm(b))
+                for b in A.basis
+            )
+
+        algebras = [random_semisimple_algebra(rng, max_dim=5)[0] for _ in range(4)]
+        algebras += [digraph_algebra(random_digraph(4, rng, density=0.5)) for _ in range(4)]
+        seen = {True: 0, False: 0}
+        for A in algebras:
+            for V in sample_invariant_subspaces(A, count=8, seed=int(rng.integers(2**31))):
+                assert invariant(V, A)
+                assert reference(V, A)
+                frames = [V.frame + eps * rng.standard_normal(V.frame.shape) for eps in (1e-12, 1e-3)]
+                for F in frames:
+                    W = Subspace.from_spanning(F, ambient=A.ambient)
+                    assert invariant(W, A) == reference(W, A)
+                    seen[reference(W, A)] += 1
+        assert seen[True] and seen[False]
+
+    def test_non_finite_basis_rejected(self):
+        A = AlgebraBasis(ambient=2, basis=[np.diag([np.nan, 1.0]).astype(complex)])
+        with pytest.raises(MalformedInputError):
+            invariant(Subspace.span_of_basis_vector(2, 0), A)
 
     def test_anything_under_scalars(self, rng):
         A = generate_algebra([np.eye(3)], unital=True)
@@ -259,11 +309,12 @@ class TestMinNormProjection:
         T = T / operator_norm(T)
         G = Subspace.from_spanning(V0.frame + 1.7 * (V1.frame @ T), ambient=4)
         p = min_norm_module_projection(G, A)
-        # independent oracle: dense grid over the one-parameter affine family
-        H, E, _ = _module_projection_system(G, A)
-        N = null_space(np.vstack([H, E]))
+        # independent oracle: dense grid over the one-parameter affine family of
+        # the n^2-coordinate system
+        M, b = dense_projection_system(G, A)
+        N = null_space(M)
         assert N.shape[1] == 1
-        p0 = _feasible_module_projection(G, A)
+        p0 = np.linalg.lstsq(M, b, rcond=None)[0].reshape(4, 4)
         D = N[:, 0].reshape(4, 4)
         grid = np.linspace(-4.0, 4.0, 321)
         best = min(
@@ -286,13 +337,67 @@ class TestMinNormProjection:
             assert operator_norm(p) == pytest.approx(1.0, abs=1e-8)
             assert p[0, 0] == 1.0 and not p[1:].any()
 
+    def test_several_directions_known_minimum_stacked(self):
+        # the same two problems as one stack: the 5x5 one bordered by zeros to
+        # 6x6 (same norm), its four directions padded with a zero fifth
+        P0 = np.zeros((2, 6, 6), dtype=complex)
+        D = np.zeros((2, 5, 6, 6), dtype=complex)
+        for w, a in enumerate(([1.0, -2j, 0.5 + 0.5j, -3.0], [0.3, 1j, -1.0, 2 + 1j, 0.7])):
+            k = len(a)
+            P0[w, 0, 0] = 1.0
+            P0[w, 0, 1 : k + 1] = a
+            D[w, np.arange(k), 0, np.arange(1, k + 1)] = 1.0
+        p = _spectral_norm_minimiser(P0, D)
+        for w in range(2):
+            assert operator_norm(p[w]) == pytest.approx(1.0, abs=1e-8)
+            assert p[w, 0, 0] == 1.0 and not p[w, 1:].any()
+
+    def test_stacked_descent_matches_single_runs(self):
+        # every witness of an estimate, stacked with zero-padded directions,
+        # reaches the norm it reaches when run alone
+        A = truncated_graph_example(4, 0.2)
+        _, witnesses = projection_constant_estimate(A)
+        comm = commutant(A)
+        families = [
+            _module_projection_family(V, comm, DEFAULT_TOL)
+            for V, _ in witnesses
+            if 0 < V.dim < A.ambient
+        ]
+        n, k = A.ambient, max(len(D) for _, D in families) + 2
+        P0 = np.array([p0 for p0, _ in families])
+        D = np.zeros((len(families), k, n, n), dtype=complex)
+        for w, (_, Dw) in enumerate(families):
+            D[w, : len(Dw)] = Dw
+        stacked = _spectral_norm_minimiser(P0, D)
+        assert len(families) >= 4
+        for w, (p0, Dw) in enumerate(families):
+            alone = operator_norm(_spectral_norm_minimiser(p0, Dw))
+            assert operator_norm(stacked[w]) == pytest.approx(alone, rel=1e-12)
+
+    def test_commutant_coordinates_give_least_frobenius_solution(self, rng):
+        # p0 and the direction space against the n^2-coordinate system solved densely
+        for _ in range(10):
+            A, _, _ = random_semisimple_algebra(rng, max_dim=5, allow_degenerate=True)
+            comm = commutant(A)
+            subs = sample_invariant_subspaces(A, count=4, seed=int(rng.integers(2**31)),
+                                              include_full=False)
+            for V in subs:
+                M, b = dense_projection_system(V, A)
+                p0_dense = np.linalg.lstsq(M, b, rcond=None)[0].reshape(A.ambient, A.ambient)
+                p0, D = _module_projection_family(V, comm, DEFAULT_TOL)
+                assert np.linalg.norm(p0 - p0_dense) <= 1e-9 * max(1.0, np.linalg.norm(p0_dense))
+                N = null_space(M)
+                Dv = D.reshape(len(D), A.ambient**2).T
+                assert Dv.shape == N.shape
+                assert np.linalg.norm(Dv @ Dv.conj().T - N @ N.conj().T, 2) <= 1e-9
+
     def test_bounds_against_feasible_solution(self, rng):
         for _ in range(5):
             A, _, _ = random_semisimple_algebra(rng, max_dim=5)
             subs = sample_invariant_subspaces(A, count=4, seed=int(rng.integers(2**31)),
                                               include_full=False)
             for V in subs:
-                p0 = _feasible_module_projection(V, A)
+                p0, _ = _module_projection_family(V, commutant(A), DEFAULT_TOL)
                 p = min_norm_module_projection(V, A)
                 assert operator_norm(p) <= operator_norm(p0) + 1e-8
                 if V.dim > 0:
@@ -307,6 +412,21 @@ class TestMinNormProjection:
         A = AlgebraBasis(ambient=2, basis=[np.eye(2, dtype=complex), unit(2, 0, 1)], unital=True)
         with pytest.raises(NotComplementableError):
             min_norm_module_projection(Subspace.span_of_basis_vector(2, 0), A)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: truncated_graph_example(4, 0.5), lambda: a_lambda(2.0)],
+        ids=["truncated_graph_example(4, 0.5)", "a_lambda(2.0)"],
+    )
+    def test_drifted_minimiser_is_caught(self, monkeypatch, make):
+        # every witness is re-verified after the descent, also those with no
+        # free direction (all of a_lambda's)
+        def drifted(P0, D):
+            return P0 + 1e-3 * np.ones(P0.shape)
+
+        monkeypatch.setattr(modules, "_spectral_norm_minimiser", drifted)
+        with pytest.raises(NumericalDegeneracyError):
+            projection_constant_estimate(make())
 
 
 class TestProjectionConstantEstimate:
@@ -345,6 +465,20 @@ class TestProjectionConstantEstimate:
     def test_amplification_level_capped(self):
         with pytest.raises(MalformedInputError):
             projection_constant_estimate(a_lambda(1.0), amplification=3)
+
+    def test_repeated_union_masks_are_skipped(self, monkeypatch):
+        # two pieces give three distinct masks among the 48 draws; a repeat
+        # is skipped before its join is built and tested for invariance
+        calls = []
+
+        def counting(V, A, tol=DEFAULT_TOL):
+            calls.append(V)
+            return invariant(V, A, tol)
+
+        monkeypatch.setattr(modules, "invariant", counting)
+        bound, _ = projection_constant_estimate(a_lambda(2.0))
+        assert bound == pytest.approx(np.sqrt(5.0), abs=1e-9)
+        assert len(calls) <= 12
 
     def test_degenerate_orthogonal_case(self):
         A = generate_algebra([np.diag([1.0, 0.0]).astype(complex)])
