@@ -197,25 +197,18 @@ def radical(A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
 
     Over a characteristic-zero field the radical of a matrix algebra is the
     kernel of the trace bilinear form x, y -> tr(xy) restricted to the span.
-    The Gram matrix is divided by the power of two nearest the largest squared
-    Frobenius norm of the basis, so the rank floor of ``null_space`` does not
-    depend on the basis scale; the division is exact, so a unit-scale basis
-    keeps every bit of its Gram matrix.
+    The form is taken on the orthonormal frame of the span, so its Gram
+    matrix, and the rank floor of ``null_space`` applied to it, do not
+    depend on the scale or the conditioning of the given basis; the kernel
+    vectors carried through the frame are an orthonormal basis of the radical.
     """
     if A.dim == 0:
         return AlgebraBasis(ambient=A.ambient, basis=[], unital=False)
-    d = A.dim
-    G = np.zeros((d, d), dtype=complex)
-    for i, bi in enumerate(A.basis):
-        for j, bj in enumerate(A.basis):
-            G[i, j] = np.trace(bi @ bj)
-    top = max(float(np.linalg.norm(b)) ** 2 for b in A.basis) or 1.0
-    K = null_space(G / 2.0 ** np.round(np.log2(top)), tol=tol)
-    if K.shape[1] == 0:
-        return AlgebraBasis(ambient=A.ambient, basis=[], unital=False)
-    rad_vecs = [_vec(A.combine(K[:, j])) for j in range(K.shape[1])]
-    F = Subspace.from_spanning(np.column_stack(rad_vecs), tol=tol).frame
-    return _basis_from_frame(F, A.ambient, unital=False)
+    n = A.ambient
+    F = A.frame(tol)
+    M = F.T.reshape(-1, n, n)
+    K = null_space(np.einsum("aij,bji->ab", M, M), tol=tol)
+    return _basis_from_frame(F @ K, n, unital=False)
 
 
 def center_and_minimal_central_idempotents(
@@ -229,6 +222,8 @@ def center_and_minimal_central_idempotents(
     The commutative semisimple centre is split by simultaneous diagonalisation
     of a random centre element; a fresh random element is drawn whenever
     eigenvalue clusters collide (relative gap below 1e-6, see ``eig_clusters``).
+    This is the reference construction; ``wedderburn_similarity`` reads the
+    idempotents off the labelled irreducible pieces of its certificate.
     """
     n = A.ambient
     if not A.contains_identity(tol):

@@ -144,7 +144,7 @@ def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
             "blocks": [list(b) for b in cert.blocks],
             "degenerate_dimension": cert.degenerate_dim,
         }
-        profile = _wedderburn_similarity(A, cert, seed, tol)
+        profile = _wedderburn_similarity(A, cert, tol)
         bound, _ = _projection_constant_estimate(A, cert, comm, samples, seed, tol)
         report["wedderburn_profile"] = [list(b) for b in profile.blocks]
         report["projection_constant_lower_bound"] = float(bound)

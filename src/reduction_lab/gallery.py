@@ -213,6 +213,13 @@ def csl_algebra(
 def truncated_graph_example(k: int, decay: float) -> AlgebraBasis:
     """Doubled matrix algebra {diag(a, T a T^-1)} for T = diag(decay, ..., decay^k).
 
+    S = diag(T^1/2, decay^((k+1)/2) T^-1/2) carries it onto {diag(b, b)}
+    with condition decay^(-(k-1)/2), and that is the similarity condition the
+    Wedderburn pipeline reports (its optimality is conjectured, not proven).
+    The basis norms run from 1 to decay^-(k-1); at k = 4 the radical, the
+    verdict and the similarity hold down to decay 0.005, and at 0.002 the
+    pipeline's final *-closure check fails.
+
     Shrinking the decay drives the smallest singular value of T toward zero,
     and the projection constants over the graph submodules grow without
     bound as the truncation sharpens.  The sampled lower bound of

@@ -260,15 +260,24 @@ def irreducible_decomposition(
 def intertwiners(
     V: Subspace, W: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL
 ) -> IntertwinerSpace:
-    """Basis of all maps T with T(a|_V) = (a|_W)T, in frame coordinates."""
+    """Basis of all maps T with T(a|_V) = (a|_W)T, in frame coordinates.
+
+    Both restricted stacks are divided by the power of two nearest the largest
+    Frobenius norm of the basis, so the rank floor of ``null_space`` does not
+    depend on the basis scale; the division is exact, so a unit-scale basis
+    keeps every bit of its system.
+    """
     for S in (V, W):
         if not invariant(S, A, tol):
             raise InvalidWitnessError("intertwiners need invariant subspaces")
     if V.dim == 0 or W.dim == 0:
         return IntertwinerSpace(source=V, target=W, basis=[])
+    top = max((float(np.linalg.norm(b)) for b in A.basis), default=1.0) or 1.0
+    scale = 2.0 ** np.round(np.log2(top))
 
     def restricted(S: Subspace) -> np.ndarray:
-        return np.reshape([S.frame.conj().T @ b @ S.frame for b in A.basis], (-1, S.dim, S.dim))
+        B = [S.frame.conj().T @ b @ S.frame for b in A.basis]
+        return np.reshape(B, (-1, S.dim, S.dim)) / scale
 
     N = null_space(sylvester_system(restricted(W), restricted(V)), tol=tol)
     basis = [N[:, j].reshape(W.dim, V.dim) for j in range(N.shape[1])]

@@ -22,7 +22,9 @@ from reduction_lab.errors import (
     MalformedInputError,
     StructurePreconditionError,
 )
+from reduction_lab.gallery import truncated_graph_example
 from reduction_lab.linalg import Subspace, operator_norm
+from reduction_lab.modules import has_reduction_property
 from reduction_lab.sampling import random_semisimple_algebra
 
 from conftest import unit
@@ -161,6 +163,14 @@ class TestRadical:
                               np.diag([0.0, 1.0]).astype(complex), unit(2, 0, 1)])
         rad = radical(A)
         assert A.dim == 3 and rad.dim == 1
+
+    @pytest.mark.parametrize("decay", [0.015, 0.01, 0.005])
+    def test_semisimple_basis_with_spread_norms(self, decay):
+        # basis norms run from 1 to decay^-3, but the trace form on the
+        # orthonormal frame of M_4 has every singular value 2
+        A = truncated_graph_example(4, decay)
+        assert radical(A).dim == 0
+        assert has_reduction_property(A)[0]
 
     def test_trace_form_kernel_by_hand(self):
         # For span{I, e12} the Gram matrix of the trace form is [[2,0],[0,0]],

@@ -191,6 +191,7 @@ class TestAnalysisReport:
                 [U @ b @ U.conj().T for b in A.basis],
             ]
             profile = [list(b) for b in blocks]
+            conditions = []
             for basis in variants:
                 B = AlgebraBasis(ambient=n, basis=basis, unital=A.unital)
                 report = analysis_report(B, seed=42, samples=24, tol=DEFAULT_TOL)
@@ -198,6 +199,8 @@ class TestAnalysisReport:
                 assert report["reduction_property"]["verdict"] is True
                 assert cert["blocks"] == report["wedderburn_profile"] == profile
                 assert cert["degenerate_dimension"] == degenerate
+                conditions.append(report["similarity_condition"])
+            assert max(conditions) <= (1 + 1e-6) * min(conditions)
 
 
 class TestGallery:
@@ -222,6 +225,36 @@ class TestGallery:
         assert code == 0
         report = json.loads(out)
         assert report["wedderburn_profile"] == [[3, 2]]
+
+    @pytest.mark.parametrize(
+        "k, decay", [(4, 0.5), (4, 0.2), (4, 0.1), (4, 0.02), (4, 0.01), (6, 0.1)]
+    )
+    def test_graph_truncation_condition(self, capsys, k, decay):
+        # the condition of S = diag(T^1/2, decay^((k+1)/2) T^-1/2), which
+        # carries the algebra onto {diag(b, b)}
+        code, out, err = run(
+            capsys,
+            ["gallery", "graph_truncation", "--k", str(k), "--decay", str(decay), "--quick"],
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["radical_dimension"] == 0
+        assert report["wedderburn_profile"] == [[k, 2]]
+        assert report["similarity_condition"] == pytest.approx(
+            decay ** (-(k - 1) / 2), rel=1e-6
+        )
+
+    def test_graph_truncation_condition_with_one_blas_thread(self):
+        argv = ["gallery", "graph_truncation", "--k", "4", "--decay", "0.02", "--quick"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "reduction_lab", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(OPENBLAS_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        condition = json.loads(proc.stdout)["similarity_condition"]
+        assert condition == pytest.approx(0.02**-1.5, rel=1e-6)
 
     def test_csl_masks(self, capsys):
         code, out, _ = run(capsys, ["gallery", "csl", "--masks", "10,01"])

@@ -208,6 +208,19 @@ class TestIntertwiners:
         W = Subspace.span_of_basis_vector(3, 2)
         assert intertwiners(V, W, zero).dim == V.dim * W.dim
 
+    def test_hom_dimension_independent_of_basis_scale(self):
+        # two isomorphic one-dimensional pieces of a ((1, 5),) algebra; the
+        # Sylvester system vanishes in exact arithmetic, and its roundoff
+        # grows with the basis scale
+        A, blocks, _ = random_semisimple_algebra(
+            np.random.default_rng(3), max_dim=6, allow_degenerate=True
+        )
+        assert blocks == ((1, 5),)
+        V, W = [p for p, _ in has_reduction_property(A)[1].pieces][:2]
+        for s in (1e-6, 1.0, 1e6, 1e8):
+            B = AlgebraBasis(ambient=A.ambient, basis=[s * b for b in A.basis], unital=A.unital)
+            assert intertwiners(V, W, B).dim == 1
+
     def test_intertwiner_equation(self, rng):
         A = amplified_m2()
         dec = irreducible_decomposition(A)

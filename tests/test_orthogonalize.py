@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from reduction_lab import orthogonalize
 from reduction_lab.algebra import AlgebraBasis, generate_algebra, span_equal
 from reduction_lab.errors import (
     FamilyTooLargeError,
+    NumericalDegeneracyError,
     StructurePreconditionError,
 )
 from reduction_lab.gallery import a_lambda, truncated_graph_example
@@ -11,6 +13,7 @@ from reduction_lab.linalg import matrix_sqrt_positive, operator_norm
 from reduction_lab.modules import Representation
 from reduction_lab.orthogonalize import (
     SimilarityReport,
+    _kronecker_fit,
     dixmier_orthogonalize,
     orthogonalize_matrix_units,
     renorm_from_projection,
@@ -289,14 +292,40 @@ class TestWedderburnSimilarity:
         assert adjoint_closure_defect(conj) <= 1e-7
 
     def test_block_layout_is_literal(self, rng):
-        literal = block_algebra_basis([(2, 1)], degenerate_dim=1)
-        R = random_invertible(3, rng, max_cond=20)
-        R_inv = np.linalg.inv(R)
-        A = AlgebraBasis(ambient=3, basis=[R @ b @ R_inv for b in literal.basis], unital=False)
-        prof = wedderburn_similarity(A, seed=2)
-        assert prof.blocks == ((2, 1),) and prof.degenerate_dim == 1
-        conj = AlgebraBasis(ambient=3, basis=conjugated_basis(A, prof.similarity), unital=False)
-        assert span_equal(conj, AlgebraBasis(ambient=3, basis=list(literal.basis), unital=False))
+        # the x kron I_mult layout, blocks first, the annihilated summand last
+        for blocks, degenerate in [(((2, 1),), 1), (((2, 2), (1, 1)), 0), (((2, 3),), 1)]:
+            literal = block_algebra_basis(blocks, degenerate_dim=degenerate)
+            n = literal.ambient
+            R = random_invertible(n, rng, max_cond=20)
+            R_inv = np.linalg.inv(R)
+            A = AlgebraBasis(ambient=n, basis=[R @ b @ R_inv for b in literal.basis], unital=False)
+            prof = wedderburn_similarity(A, seed=2)
+            assert prof.blocks == blocks and prof.degenerate_dim == degenerate
+            conj = AlgebraBasis(ambient=n, basis=conjugated_basis(A, prof.similarity), unital=False)
+            assert span_equal(conj, AlgebraBasis(ambient=n, basis=list(literal.basis), unital=False))
+
+
+class TestKroneckerFit:
+    def test_recovers_exact_kronecker_product(self, rng):
+        for k, mult in [(1, 3), (3, 1), (2, 2), (3, 4)]:
+            g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            h = rng.standard_normal((mult, mult)) + 1j * rng.standard_normal((mult, mult))
+            G0 = g.conj().T @ g + np.eye(k)
+            H0 = h.conj().T @ h + np.eye(mult)
+            K = np.kron(G0, H0)
+            G, H = _kronecker_fit(K, k, mult)
+            assert operator_norm(np.kron(G, H) - K) <= 1e-10 * operator_norm(K)
+            # the pair is fixed up to a scalar moved between the factors
+            c = np.trace(G) / np.trace(G0)
+            assert operator_norm(G - c * G0) <= 1e-10 * operator_norm(G)
+            assert operator_norm(H - H0 / c) <= 1e-10 * operator_norm(H)
+
+    def test_round_cap_raises(self, monkeypatch):
+        # an exact product needs a second round to see that the first settled
+        K = np.kron(np.diag([1.0, 4.0]), np.diag([1.0, 9.0])).astype(complex)
+        monkeypatch.setattr(orthogonalize, "_KRON_FIT_ITERS", 1)
+        with pytest.raises(NumericalDegeneracyError, match="stage 'block-similarity'"):
+            _kronecker_fit(K, 2, 2)
 
 
 class TestSimilarityBoundReport:
