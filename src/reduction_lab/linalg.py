@@ -17,6 +17,7 @@ from .errors import (
     MalformedInputError,
     NotComplementaryError,
     NotPositiveError,
+    NumericalDegeneracyError,
     SingularMatrixError,
 )
 from .tolerance import DEFAULT_TOL, Tolerance
@@ -272,6 +273,47 @@ def eig_clusters(evals: np.ndarray, rel_gap: float = 1e-6) -> list[list[int]]:
         else:
             clusters.append([int(idx)])
     return clusters
+
+
+# Path following in ``least_psd_shift``: the barrier weight s grows by _BARRIER_GROWTH at
+# each centred point (Newton decrement below _BARRIER_CENTRED), and a problem stops at a
+# centred point with barrier gap N/s <= _BARRIER_GAP max(1, |t|).
+_BARRIER_GROWTH = 50.0
+_BARRIER_CENTRED = 0.25
+_BARRIER_GAP = 1e-11
+_BARRIER_ITERS = 500
+
+
+def least_psd_shift(F0: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Minimise t subject to F0[w] + sum_j y_j F[w, j] + t I >= 0 over real y, for each
+    w of a Hermitian (W, N, N) ``F0`` and (W, m, N, N) ``F``; returns y as (W, m).
+
+    Damped Newton steps on s t - log det F(y, t) from y = 0, t = 1 + ||F0[w]||_F: one
+    batched inverse per step gives the gradient s e_t - tr(F^-1 F_j) and the Hessian
+    Re tr(F^-1 F_j F^-1 F_k), and the step length 1/(1 + decrement) keeps F(y, t)
+    positive definite.  A zero F[w, j] gets a unit Hessian diagonal, pinning y_j at 0.
+    """
+    W, m, N = F.shape[0], F.shape[1] + 1, F0.shape[-1]
+    F = np.concatenate([F, np.broadcast_to(identity(N), (W, 1, N, N))], axis=1)
+    pin = ~F.any(axis=(-2, -1))[:, None] * np.eye(m)
+    x = np.hstack([np.zeros((W, m - 1)), 1.0 + np.linalg.norm(F0, axis=(-2, -1))[:, None]])
+    s = N / x[:, -1]
+    live = np.arange(W)
+    for _ in range(_BARRIER_ITERS):
+        if not live.size:
+            return x[:, :-1]
+        Fl = F[live]
+        G = np.linalg.inv(F0[live] + np.einsum("wj,wjab->wab", x[live], Fl))[:, None] @ Fl
+        g = np.outer(s[live], np.eye(m)[-1]) - np.einsum("wjaa->wj", G).real
+        H = np.einsum("wjab,wkba->wjk", G, G).real + pin[live]
+        step = np.linalg.solve(H, -g[..., None])[..., 0]
+        dec = np.sqrt(np.maximum(-np.einsum("wj,wj->w", g, step), 0.0))
+        x[live] += step / (1.0 + dec[:, None])
+        centred = dec < _BARRIER_CENTRED
+        done = centred & (N / s[live] <= _BARRIER_GAP * np.maximum(1.0, np.abs(x[live, -1])))
+        s[live[centred & ~done]] *= _BARRIER_GROWTH
+        live = live[~done]
+    raise NumericalDegeneracyError(f"barrier path did not converge in {_BARRIER_ITERS} steps")
 
 
 def rank_and_range(M, tol: Tolerance = DEFAULT_TOL) -> tuple[int, Subspace]:

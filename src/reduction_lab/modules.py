@@ -31,6 +31,7 @@ from .linalg import (
     check_finite,
     eig_clusters,
     identity,
+    least_psd_shift,
     null_space,
     operator_norm,
     rank_and_range,
@@ -386,63 +387,26 @@ def has_reduction_property(
     )
 
 
-def _spectral_norm_minimiser(
-    P0: np.ndarray,
-    D: np.ndarray,
-    iters: int = 500,
-    rel_stop: float = 1e-8,
-) -> np.ndarray:
-    """Minimise ||P0[w] + sum_j c_j D[w, j]|| over complex coefficients c, for each w.
+def _spectral_norm_minimiser(P0: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Minimise ||P0[w] + sum_j c_j D[w, j]|| over complex c, for each w of a (W, n, n)
+    stack ``P0`` with (W, k, n, n) directions ``D``, zero-padded where the counts differ
+    (a zero direction keeps coefficient 0).  A 2-D ``P0`` with (k, n, n) ``D`` is a
+    stack of one, and gives a 2-D result.
 
-    ``P0`` is a (W, n, n) stack and ``D`` holds the directions of each as a
-    (W, k, n, n) array, zero-padded where the counts differ (a zero direction
-    gets a zero subgradient, so its coefficient stays 0).  A 2-D ``P0`` with
-    (k, n, n) directions is a stack of one, and a 2-D result is returned.
-
-    Each w runs one subgradient descent from c = 0: with (u, v) the top
-    singular pair of the iterate, the subgradient in c_j is conj(u* D_j v).
-    The problem is convex, so a single descent suffices.  Steps are Polyak
-    steps towards a fraction gamma below the best value so far, never below
-    1, the least norm of a nonzero idempotent.  gamma halves after 25 steps
-    without progress and whenever the iterate already meets the target; a
-    descent ends when its gamma falls below 1e-12 or after ``iters`` steps.
-    The descents share one loop with one batched SVD per step, and a finished
-    one drops out.  The best iterate of each is returned, so its norm bounds
-    that minimum from above.
+    ||X|| <= t exactly when [[tI, X], [X*, tI]] >= 0, affine in t, Re c and Im c, so
+    ``least_psd_shift`` solves the stack: barrier gap <= 1e-11 relative at exit; still
+    reported uncertified because no dual value is reported.
     """
     if P0.ndim == 2:
-        return _spectral_norm_minimiser(P0[None], D[None], iters, rel_stop)[0]
-    W, k = D.shape[:2]
-    c = np.zeros((W, k), dtype=complex)
-    c_best = c.copy()
-    f_best, f_stall = np.full(W, np.inf), np.full(W, np.inf)
-    gamma, stall = np.full(W, 0.25), np.zeros(W, dtype=int)
-    live = np.arange(W if k else 0)
-    for _ in range(iters):
-        if not live.size:
-            break
-        cl, Dl = c[live], D[live]
-        U, s, Vh = np.linalg.svd(P0[live] + np.einsum("wk,wkij->wij", cl, Dl))
-        f = s[:, 0]
-        g = np.einsum("wi,wkij,wj->wk", U[:, :, 0].conj(), Dl, Vh[:, 0].conj()).conj()
-        better = f < f_best[live] * (1 - rel_stop)
-        f_best[live[better]], c_best[live[better]] = f[better], cl[better]
-        moved = f < f_stall[live] * (1 - 1e-10)
-        f_stall[live[moved]] = f[moved]
-        stall[live] = np.where(moved, 0, stall[live] + 1)
-        slow = stall[live] >= 25
-        gamma[live[slow]] *= 0.5
-        stall[live[slow]] = 0
-        done = slow & (gamma[live] < 1e-12)
-        target = np.maximum(1.0 - 1e-12, f_best[live] * (1 - gamma[live]))
-        gnorm2 = np.einsum("wk,wk->w", g.conj(), g).real
-        hold = ~done & ((gnorm2 < 1e-24) | (f <= target))
-        gamma[live[hold]] *= 0.5
-        done |= hold & (gamma[live] < 1e-12)
-        step = ~(done | hold)
-        c[live[step]] = cl[step] - ((f - target)[step] / gnorm2[step])[:, None] * g[step]
-        live = live[~done]
-    return P0 + np.einsum("wk,wkij->wij", c_best, D)
+        return _spectral_norm_minimiser(P0[None], D[None])[0]
+    k = D.shape[1]
+    if not k:
+        return P0
+    X = np.concatenate([P0[:, None], D, 1j * D], axis=1)
+    Z = np.zeros_like(X)
+    F = np.block([[Z, X], [np.swapaxes(X, -1, -2).conj(), Z]])
+    y = least_psd_shift(F[:, 0], F[:, 1:])
+    return P0 + np.einsum("wk,wkij->wij", y[:, :k] + 1j * y[:, k:], D)
 
 
 def _min_norm_module_projections(
@@ -451,9 +415,10 @@ def _min_norm_module_projections(
     """Module projections of least operator norm onto each of ``subspaces``, stacked.
 
     Each subspace gets its own commutant-coordinate system (see
-    ``_module_projection_family``); then one stacked descent runs over every
-    subspace V with 0 < dim V < n, and one batched check re-verifies each
-    result there as an idempotent commuting with the algebra.
+    ``_module_projection_family``); one ``_spectral_norm_minimiser`` call solves
+    every subspace V with 0 < dim V < n (barrier gap <= 1e-11 relative at exit; still
+    reported uncertified because no dual value is reported), and one batched check
+    re-verifies each result there as an idempotent commuting with the algebra.
     """
     n = A.ambient
     families = [_module_projection_family(V, comm, tol) for V in subspaces]
@@ -484,7 +449,8 @@ def min_norm_module_projection(
     A: AlgebraBasis,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Module projection onto V of (approximately) minimal operator norm.
+    """Module projection onto V of least operator norm (barrier gap <= 1e-11
+    relative at exit; still reported uncertified because no dual value is reported).
 
     Minimises over the affine family p0 + d with d in the commutant, range(d)
     inside V and d vanishing on V, solved in the coordinates of the
@@ -494,13 +460,6 @@ def min_norm_module_projection(
     if not invariant(V, A, tol):
         raise InvalidWitnessError("need an invariant subspace")
     return _min_norm_module_projections([V], A, commutant(A, tol), tol)[0]
-
-
-def _graph_subspace(
-    Vi: Subspace, Vj: Subspace, T: np.ndarray, lam: complex, tol: Tolerance
-) -> Subspace:
-    cols = Vi.frame + lam * (Vj.frame @ T)
-    return Subspace.from_spanning(cols, ambient=Vi.ambient, tol=tol)
 
 
 def projection_constant_estimate(
@@ -515,10 +474,9 @@ def projection_constant_estimate(
     Samples irreducible pieces, isotypic sums, and graph subspaces built from
     intertwiners between isomorphic irreducible blocks, and maximises the
     minimum projection norm.  The zero submodule is excluded; the reported
-    number is a lower bound, never claimed as the supremum.  It is not
-    certified: each minimum comes from a primal descent and estimates the
-    true minimum from above, with no dual certificate, so the bound can
-    overstate by the descent's remaining gap.
+    number is a lower bound, never claimed as the supremum.  Each minimum has
+    barrier gap <= 1e-11 relative at exit; the bound is still reported
+    uncertified because no dual value is reported.
 
     With ``amplification=2`` the doubled module is sampled as well, covering
     graph submodules between the two copies; levels beyond 2 are out of scope.
@@ -549,10 +507,9 @@ def _projection_constant_estimate(
     tol: Tolerance,
 ) -> tuple[float, list]:
     """``projection_constant_estimate`` at amplification 1, given the reduction
-    certificate and the commutant ``comm`` of A.
-
-    Every candidate's least-norm module projection comes from one pass
-    (``_min_norm_module_projections``): one stacked descent for all of them.
+    certificate and the commutant ``comm`` of A.  One ``_min_norm_module_projections``
+    pass solves every candidate, to a barrier gap <= 1e-11 relative at exit;
+    still reported uncertified because no dual value is reported.
     """
     if not cert.verdict:
         raise StructurePreconditionError("projection constants need the reduction property")
@@ -591,7 +548,8 @@ def _projection_constant_estimate(
                 T = tw.basis[0]
                 T = T / max(operator_norm(T), 1e-30)
                 for lam in (1.0, *(rng.uniform(0.3, 3.0, size=3))):
-                    add(_graph_subspace(group[i], group[j], T, lam, tol))
+                    cols = group[i].frame + lam * (group[j].frame @ T)
+                    add(Subspace.from_spanning(cols, ambient=n, tol=tol))
     if cert.degenerate_dim:
         # the annihilated summand (everything, for a zero unit) is the kernel
         # of the internal unit, which is skew against its range in general

@@ -15,6 +15,7 @@ from reduction_lab.errors import (
 )
 from reduction_lab.linalg import (
     Subspace,
+    least_psd_shift,
     matrix_sqrt_positive,
     null_space,
     operator_norm,
@@ -291,3 +292,17 @@ class TestNullSpaceKernel:
         assert S.shape == (k * p * q, p * q)
         want = np.concatenate([(X @ r - l @ X).reshape(-1) for l, r in zip(L, R)])
         assert np.allclose(S @ X.reshape(-1), want)
+
+
+class TestLeastPsdShift:
+    def test_stacked_known_minima_with_a_pinned_direction(self):
+        # min_y lambda_max(A0 + y A1) is min t with -A0 - y A1 + t I >= 0:
+        # max(1 - y, y - 1) has minimum 0 at y = 1, max(5 - y, 1 + y) minimum 3
+        # at y = 2; a zero second direction keeps its coefficient at 0
+        A0 = np.array([np.diag([1.0, -1.0]), np.diag([5.0, 1.0])], dtype=complex)
+        A1 = np.array([np.diag([-1.0, 1.0])] * 2, dtype=complex)
+        F = np.stack([-A1, np.zeros_like(A1)], axis=1)
+        y = least_psd_shift(-A0, F)
+        assert y.shape == (2, 2)
+        assert np.allclose(y[:, 0], [1.0, 2.0], atol=1e-9)
+        assert not y[:, 1].any()

@@ -441,6 +441,46 @@ class TestMinNormProjection:
         with pytest.raises(NumericalDegeneracyError):
             projection_constant_estimate(make())
 
+    def test_estimate_makes_no_svd_per_minimiser_step(self, monkeypatch):
+        # the minimiser takes no SVD per step; a per-step SVD over 500 steps
+        # would put this estimate above 500 calls
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        projection_constant_estimate(truncated_graph_example(4, 0.2), seed=42)
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("decay", [0.5, 0.2, 0.1])
+    def test_no_lower_point_around_the_minimum(self, decay):
+        # a check independent of the solver: the norm is convex in the
+        # coefficients, so no point on small rings around the returned
+        # coefficient may be lower than the returned norm
+        A = truncated_graph_example(4, decay)
+        comm = commutant(A)
+        subspaces = [V for V, _ in projection_constant_estimate(A, seed=42)[1]]
+        P = modules._min_norm_module_projections(subspaces, A, comm, DEFAULT_TOL)
+        ring = np.exp(2j * np.pi * np.arange(16) / 16)
+        checked = 0
+        for V, p in zip(subspaces, P):
+            p0, D = _module_projection_family(V, comm, DEFAULT_TOL)
+            if not len(D):
+                continue
+            c = np.einsum("kij,ij->k", D.conj(), p - p0)  # D is Frobenius-orthonormal
+            assert np.linalg.norm(p - p0 - np.tensordot(c, D, 1)) <= 1e-12 * np.linalg.norm(p)
+            f = operator_norm(p)
+            assert 1.0 - 1e-12 <= f <= operator_norm(p0) * (1 + 1e-12)
+            for r in (1e-2, 1e-4, 1e-6):
+                for z in r * max(1.0, float(np.linalg.norm(c))) * ring:
+                    for Dj in D:
+                        assert operator_norm(p + z * Dj) >= f * (1 - 1e-10)
+            checked += 1
+        assert checked
+
 
 class TestProjectionConstantEstimate:
     def test_full_matrix_algebra_is_one(self):
