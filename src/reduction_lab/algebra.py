@@ -50,10 +50,6 @@ def _vec(M: np.ndarray) -> np.ndarray:
     return M.reshape(-1)
 
 
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape(n, n)
-
-
 @dataclass(frozen=True)
 class AlgebraBasis:
     """A linearly independent spanning set for a multiplicatively closed span."""
@@ -74,10 +70,8 @@ class AlgebraBasis:
 
     def frame(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal frame of the vectorised span, shape (n^2, dim)."""
-        if not self.basis:
-            return np.zeros((self.ambient**2, 0), dtype=complex)
-        stacked = np.column_stack([_vec(b) for b in self.basis])
-        return Subspace.from_spanning(stacked, tol=tol).frame
+        stacked = np.reshape(self.basis, (self.dim, self.ambient**2)).T
+        return Subspace.from_spanning(stacked, ambient=self.ambient**2, tol=tol).frame
 
     def in_span(self, M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
         F = self.frame(tol)
@@ -106,14 +100,12 @@ class AlgebraBasis:
         """Check linear independence and multiplicative closure of the span."""
         if not self.basis:
             return
-        stacked = np.column_stack([_vec(b) for b in self.basis])
-        sig = np.linalg.svd(stacked, compute_uv=False)
+        B = np.reshape(self.basis, (self.dim, self.ambient, self.ambient))
+        sig = np.linalg.svd(B.reshape(self.dim, -1).T, compute_uv=False)
         if sig[-1] <= tol.rank_eps * sig[0]:
             raise MalformedInputError("basis is linearly dependent at the rank tolerance")
-        for bi in self.basis:
-            for bj in self.basis:
-                if not self.in_span(bi @ bj, tol):
-                    raise MalformedInputError("span is not closed under multiplication")
+        if len(_products_outside(self.frame(tol), B, tol.eq_eps)):
+            raise MalformedInputError("span is not closed under multiplication")
         if self.unital and not self.contains_identity(tol):
             raise MalformedInputError("unital flag set but identity is not in the span")
 
@@ -125,9 +117,20 @@ def span_equal(A: AlgebraBasis, B: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -
     return operator_norm(FA @ FA.conj().T - FB @ FB.conj().T) <= tol.eq_eps
 
 
+def _products_outside(F: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:
+    """The products a @ b over a, b in the (d, n, n) stack ``M`` whose distance from
+    the span of the orthonormal frame ``F`` exceeds eps * max(1, ||ab||), as
+    vectorised rows in a-major order: one batched product and one residual per a."""
+    out, Fc = [np.zeros((0, F.shape[0]), dtype=complex)], F.conj()
+    for a in M:
+        P = (a @ M).reshape(len(M), -1)
+        resid = np.linalg.norm(P - (P @ Fc) @ F.T, axis=1)
+        out.append(P[resid > eps * np.maximum(1.0, np.linalg.norm(P, axis=1))])
+    return np.concatenate(out)
+
+
 def _basis_from_frame(F: np.ndarray, n: int, unital: bool) -> AlgebraBasis:
-    mats = [_unvec(F[:, j], n) for j in range(F.shape[1])]
-    return AlgebraBasis(ambient=n, basis=mats, unital=unital)
+    return AlgebraBasis(ambient=n, basis=list(F.T.reshape(-1, n, n)), unital=unital)
 
 
 def generate_algebra(
@@ -139,8 +142,9 @@ def generate_algebra(
     """Basis of the smallest subalgebra containing the generators.
 
     Iterates degree-doubling products until the span dimension stabilises;
-    the span dimension is capped by n^2 so the loop always terminates.  An
-    empty generator list is allowed only for unital algebras, in which case
+    the span dimension is capped by n^2 so the loop always terminates.  A pass
+    takes one batched product and residual test per frame element.  An empty
+    generator list is allowed only for unital algebras, in which case
     ``ambient`` supplies the dimension.
     """
     mats = [as_matrix(g) for g in generators]
@@ -162,17 +166,10 @@ def generate_algebra(
 
     F = Subspace.from_spanning(np.column_stack([_vec(m) for m in mats]), tol=tol).frame
     while True:
-        current = [_unvec(F[:, j], n) for j in range(F.shape[1])]
-        new_vecs = []
-        for a in current:
-            for b in current:
-                v = _vec(a @ b)
-                resid = v - F @ (F.conj().T @ v)
-                if np.linalg.norm(resid) > tol.rank_eps * max(1.0, np.linalg.norm(v)):
-                    new_vecs.append(v)
-        if not new_vecs:
+        new = _products_outside(F, F.T.reshape(-1, n, n), tol.rank_eps)
+        if not len(new):
             break
-        F = Subspace.from_spanning(np.column_stack([F] + new_vecs), tol=tol).frame
+        F = Subspace.from_spanning(np.hstack([F, new.T]), tol=tol).frame
         if F.shape[1] >= n * n:
             break
 
@@ -181,11 +178,24 @@ def generate_algebra(
     return AlgebraBasis(ambient=n, basis=alg.basis, unital=is_unital)
 
 
+_SYLVESTER_CHUNK = 2**21  # entries (32 MiB) of the Sylvester rows ``commutant`` builds at once
+
+
 def commutant(A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """Basis of {T : Tb = bT for all b in A}, via a stacked Sylvester system."""
+    """Basis of {T : Tb = bT for all b in A}, via a stacked Sylvester system.
+
+    The rows are built a chunk of basis elements at a time; before the next
+    chunk is stacked below them, the rows so far are cut to their n^2 x n^2
+    triangular factor (QR with no Q), which has the same null space.
+    """
     n = A.ambient
     B = np.reshape(A.basis, (-1, n, n))
-    return _basis_from_frame(null_space(sylvester_system(B, B), tol=tol), n, unital=True)
+    s = max(1, _SYLVESTER_CHUNK // n**4)
+    rows = sylvester_system(B[:s], B[:s])
+    for i in range(s, len(B), s):
+        chunk = sylvester_system(B[i : i + s], B[i : i + s])
+        rows = np.vstack([np.linalg.qr(rows, mode="r"), chunk])
+    return _basis_from_frame(null_space(rows, tol=tol), n, unital=True)
 
 
 def bicommutant(A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -232,13 +242,10 @@ def center_and_minimal_central_idempotents(
         raise StructurePreconditionError("central idempotents need a semisimple algebra")
 
     # centre = null space of the commutator map restricted to the span of A
-    cols = []
-    for bi in A.basis:
-        cols.append(np.concatenate([_vec(bi @ bj - bj @ bi) for bj in A.basis]))
-    C = np.column_stack(cols)
-    K = null_space(C, tol=tol)
-    ctr_vecs = [_vec(A.combine(K[:, j])) for j in range(K.shape[1])]
-    F = Subspace.from_spanning(np.column_stack(ctr_vecs), tol=tol).frame
+    B = np.reshape(A.basis, (-1, n, n))
+    P = B[:, None] @ B[None]
+    K = null_space((P - P.transpose(1, 0, 2, 3)).reshape(A.dim, -1).T, tol=tol)
+    F = Subspace.from_spanning(B.reshape(A.dim, -1).T @ K, tol=tol).frame
     center = _basis_from_frame(F, n, unital=True)
     m = center.dim
 
@@ -348,17 +355,9 @@ class SubspaceLattice:
 def alg_of_lattice(L: SubspaceLattice, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Basis of {a : aV subseteq V for all V in L}; always a unital algebra."""
     n = L.ambient
-    I = identity(n)
-    rows = []
-    for V in L.members:
-        if V.dim in (0, n):
-            continue
-        P = V.projector()
-        rows.append(np.kron(I - P, P.T))
-    if not rows:
-        return _basis_from_frame(np.eye(n * n, dtype=complex), n, unital=True)
-    N = null_space(np.vstack(rows), tol=tol)
-    return _basis_from_frame(N, n, unital=True)
+    P = np.reshape([V.projector() for V in L.members if 0 < V.dim < n], (-1, n, n))
+    rows = np.einsum("kij,kba->kiajb", identity(n) - P, P)  # stacked kron(I - P, P^T)
+    return _basis_from_frame(null_space(rows.reshape(-1, n * n), tol=tol), n, unital=True)
 
 
 def is_reflexive(

@@ -232,11 +232,14 @@ def null_space(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     A constraint matrix at roundoff level (largest singular value below the
     rank tolerance at unit scale) imposes no constraints at all.  A tall
-    system is factored thin, without its unused rows x rows left factor.
+    system is cut to its cols x cols triangular factor (QR with no Q), which
+    has the same singular values and right factor, so no left factor is built.
     """
     M = as_matrix(M)
     if M.shape[0] == 0 or M.size == 0:
         return np.eye(M.shape[1], dtype=complex)
+    if M.shape[0] > M.shape[1]:
+        M = np.linalg.qr(M, mode="r")
     _, sig, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     return Vh[_rank(sig, tol) :, :].conj().T
 
@@ -244,12 +247,14 @@ def null_space(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def sylvester_system(lefts, rights) -> np.ndarray:
     """Stacked kron(I_p, r_j^T) - kron(l_j, I_q): the map X -> X r_j - l_j X on
     row-major vec(X), for (k, p, p) ``lefts`` and (k, q, q) ``rights``.  An empty
-    family gives a 0 x pq system."""
+    family gives a 0 x pq system.  Built in place, entry for entry the kron
+    stack: -l_j on the q diagonal slices of one array, then r_j^T added on p."""
     lefts, rights = np.asarray(lefts, dtype=complex), np.asarray(rights, dtype=complex)
-    p, q = lefts.shape[-1], rights.shape[-1]
-    Ip, Iq = identity(p), identity(q)
-    rows = [np.kron(Ip, r.T) - np.kron(l, Iq) for l, r in zip(lefts, rights)]
-    return np.vstack([np.zeros((0, p * q), dtype=complex), *rows])
+    k, p, q = len(lefts), lefts.shape[-1], rights.shape[-1]
+    S = np.zeros((k, p, q, p, q), dtype=complex)
+    np.einsum("kiaja->kija", S)[...] = -lefts[..., None]
+    np.einsum("kiaib->kiab", S)[...] += rights.transpose(0, 2, 1)[:, None]
+    return S.reshape(k * p * q, p * q)
 
 
 def solve_consistent(M, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:

@@ -13,7 +13,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraBasis,
-    _unvec,
     _vec,
     commutant,
     radical,
@@ -144,8 +143,10 @@ def _opnorms(X: np.ndarray) -> np.ndarray:
 def invariant(V: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether AV is contained in V at the comparison tolerance.
 
-    The whole basis is tested at once: one stacked product (I - P_V) b F over
-    the basis b, for the frame F of V, and one batched operator norm.
+    The whole basis is tested at once: one stacked product R = (I - P_V) b F
+    over the basis b, for the frame F of V, against ||R|| <= eps max(1, ||b||).
+    Frobenius norms pass it first when ||R||_F <= eps max(1, ||b||_F / sqrt(n)),
+    as ||R|| <= ||R||_F and ||b|| >= ||b||_F / sqrt(n); else operator norms decide.
     """
     if V.ambient != A.ambient:
         raise MalformedInputError("subspace and algebra live in different spaces")
@@ -154,6 +155,9 @@ def invariant(V: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> boo
     B = np.reshape(A.basis, (-1, A.ambient, A.ambient))
     R = (identity(A.ambient) - V.projector()) @ B @ V.frame
     check_finite(R)
+    bound = np.maximum(1.0, np.linalg.norm(B, axis=(-2, -1)) / np.sqrt(A.ambient))
+    if np.all(np.linalg.norm(R, axis=(-2, -1)) <= tol.eq_eps * bound):
+        return True
     return bool(np.all(_opnorms(R) <= tol.eq_eps * np.maximum(1.0, _opnorms(B))))
 
 
@@ -162,9 +166,10 @@ def restriction_to_invariant(
 ) -> AlgebraBasis:
     """The algebra of restricted actions on an invariant subspace, in frame coordinates."""
     F = V.frame
-    restricted = np.reshape([_vec(F.conj().T @ b @ F) for b in A.basis], (A.dim, V.dim**2))
+    B = np.reshape(A.basis, (-1, A.ambient, A.ambient))
+    restricted = (F.conj().T @ B @ F).reshape(A.dim, V.dim**2)
     frame = Subspace.from_spanning(restricted.T, ambient=V.dim**2, tol=tol).frame
-    mats = [_unvec(frame[:, j], V.dim) for j in range(frame.shape[1])]
+    mats = list(frame.T.reshape(-1, V.dim, V.dim))
     unital = AlgebraBasis(V.dim, mats, unital=False).contains_identity(tol) if mats else False
     return AlgebraBasis(ambient=V.dim, basis=mats, unital=unital)
 
@@ -175,16 +180,10 @@ def algebra_identity_element(
     """The internal identity of the algebra (two-sided unit of the span), if any."""
     if A.dim == 0:
         return None
-    cols, rhs = [], []
-    for i, bi in enumerate(A.basis):
-        cols.append(
-            np.concatenate(
-                [np.concatenate([_vec(bi @ bj), _vec(bj @ bi)]) for bj in A.basis]
-            )
-        )
-    for bj in A.basis:
-        rhs.append(np.concatenate([_vec(bj), _vec(bj)]))
-    coeff = solve_consistent(np.column_stack(cols), np.concatenate(rhs), tol)
+    B = np.reshape(A.basis, (-1, A.ambient, A.ambient))
+    P = B[:, None] @ B[None]  # P[i, j] = b_i b_j
+    M = np.stack([P, P.transpose(1, 0, 2, 3)], axis=2).reshape(A.dim, -1).T
+    coeff = solve_consistent(M, np.stack([B, B], axis=1).reshape(-1), tol)
     return None if coeff is None else A.combine(coeff)
 
 
@@ -274,13 +273,9 @@ def intertwiners(
     if V.dim == 0 or W.dim == 0:
         return IntertwinerSpace(source=V, target=W, basis=[])
     top = max((float(np.linalg.norm(b)) for b in A.basis), default=1.0) or 1.0
-    scale = 2.0 ** np.round(np.log2(top))
-
-    def restricted(S: Subspace) -> np.ndarray:
-        B = [S.frame.conj().T @ b @ S.frame for b in A.basis]
-        return np.reshape(B, (-1, S.dim, S.dim)) / scale
-
-    N = null_space(sylvester_system(restricted(W), restricted(V)), tol=tol)
+    B = np.reshape(A.basis, (-1, A.ambient, A.ambient)) / 2.0 ** np.round(np.log2(top))
+    lefts, rights = (S.frame.conj().T @ B @ S.frame for S in (W, V))
+    N = null_space(sylvester_system(lefts, rights), tol=tol)
     basis = [N[:, j].reshape(W.dim, V.dim) for j in range(N.shape[1])]
     return IntertwinerSpace(source=V, target=W, basis=basis)
 
@@ -609,10 +604,8 @@ def sample_invariant_subspaces(
     def cyclic(xi: np.ndarray) -> Subspace:
         S = Subspace.from_spanning(xi[:, None], ambient=n, tol=tol)
         while True:
-            cols = [S.frame]
-            for b in A.basis:
-                cols.append(b @ S.frame)
-            S2 = Subspace.from_spanning(np.hstack(cols), ambient=n, tol=tol)
+            cols = np.reshape(A.basis, (-1, n, n)) @ S.frame
+            S2 = Subspace.from_spanning(np.hstack([S.frame, *cols]), ambient=n, tol=tol)
             if S2.dim == S.dim:
                 return S2
             S = S2
@@ -700,7 +693,7 @@ def solve_inner_derivation(
     m = theta.target_dim
     images = np.reshape(theta.images, (-1, m, m))
     x = solve_consistent(sylvester_system(images, images), np.reshape(delta, -1), tol)
-    return None if x is None else _unvec(x, m)
+    return None if x is None else x.reshape(m, m)
 
 
 def build_hat_representation(

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reduction_lab import algebra
 from reduction_lab.algebra import (
     AlgebraBasis,
     SubspaceLattice,
@@ -23,9 +28,10 @@ from reduction_lab.errors import (
     StructurePreconditionError,
 )
 from reduction_lab.gallery import truncated_graph_example
-from reduction_lab.linalg import Subspace, operator_norm
+from reduction_lab.linalg import Subspace, null_space, operator_norm, sylvester_system
 from reduction_lab.modules import has_reduction_property
 from reduction_lab.sampling import random_semisimple_algebra
+from reduction_lab.tolerance import DEFAULT_TOL
 
 from conftest import unit
 
@@ -44,6 +50,29 @@ def word_closure_dimension(generators, unital, max_len=4):
         current = nxt
     stacked = np.column_stack([w.reshape(-1) for w in words])
     return int(np.linalg.matrix_rank(stacked, tol=1e-9))
+
+
+def pairwise_generate_algebra(generators, unital=False, tol=DEFAULT_TOL):
+    """Reference span closure: one product and one residual test per pair of frame elements."""
+    n = generators[0].shape[0]
+    mats = ([np.eye(n, dtype=complex)] if unital else []) + list(generators)
+    F = Subspace.from_spanning(np.column_stack([m.reshape(-1) for m in mats]), tol=tol).frame
+    while True:
+        current = [F[:, j].reshape(n, n) for j in range(F.shape[1])]
+        new_vecs = []
+        for a in current:
+            for b in current:
+                v = (a @ b).reshape(-1)
+                resid = v - F @ (F.conj().T @ v)
+                if np.linalg.norm(resid) > tol.rank_eps * max(1.0, np.linalg.norm(v)):
+                    new_vecs.append(v)
+        if not new_vecs:
+            break
+        F = Subspace.from_spanning(np.column_stack([F] + new_vecs), tol=tol).frame
+        if F.shape[1] >= n * n:
+            break
+    A = AlgebraBasis(ambient=n, basis=[F[:, j].reshape(n, n) for j in range(F.shape[1])])
+    return AlgebraBasis(ambient=n, basis=A.basis, unital=unital or A.contains_identity(tol))
 
 
 class TestGenerateAlgebra:
@@ -80,6 +109,49 @@ class TestGenerateAlgebra:
         B = generate_algebra(A.basis)
         assert span_equal(A, B)
         A.validate()
+
+    def test_batched_closure_matches_pairwise_reference(self, rng):
+        def gaussian(n):
+            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+        cases = []
+        for n in (2, 3, 4):
+            cases.append(([gaussian(n)], True))
+            cases.append(([gaussian(n), gaussian(n)], False))
+            cases.append(([np.triu(gaussian(n), 1)], False))  # nilpotent
+            cases.append(([np.triu(gaussian(n), 1), np.diag(rng.standard_normal(n))], False))
+        cases.append(([random_semisimple_algebra(rng, max_dim=5)[0].basis[0]], False))
+        for gens, unital in cases:
+            A = generate_algebra(gens, unital=unital)
+            want = pairwise_generate_algebra(gens, unital=unital)
+            assert A.dim == want.dim
+            assert span_equal(A, want)
+            assert A.unital == want.unital
+        assert {generate_algebra(g, unital=u).unital for g, u in cases} == {True, False}
+
+    def test_validate_matches_pairwise_span_test(self, rng):
+        def pairwise_closed(A):
+            return all(A.in_span(bi @ bj) for bi in A.basis for bj in A.basis)
+
+        closed = generate_algebra([rng.standard_normal((3, 3)), np.triu(np.ones((3, 3)), 1)])
+        spans = [
+            closed,
+            AlgebraBasis(ambient=2, basis=[unit(2, 0, 1), unit(2, 1, 0)]),
+            AlgebraBasis(ambient=3, basis=[unit(3, 0, 1), unit(3, 1, 2)]),
+        ]
+        # the upper triangular 2 x 2 algebra, tilted out of itself by eta
+        for eta in (1e-12, 1e-6):
+            tilted = unit(2, 0, 1) + eta * unit(2, 1, 0)
+            spans.append(AlgebraBasis(ambient=2, basis=[unit(2, 0, 0), unit(2, 1, 1), tilted]))
+        for A in spans:
+            if pairwise_closed(A):
+                A.validate()
+            else:
+                with pytest.raises(MalformedInputError, match="closed"):
+                    A.validate()
+        assert [pairwise_closed(A) for A in spans] == [True, False, False, True, False]
+        with pytest.raises(MalformedInputError, match="dependent"):
+            AlgebraBasis(ambient=2, basis=[unit(2, 0, 1), 2 * unit(2, 0, 1)]).validate()
 
 
 class TestCommutant:
@@ -123,6 +195,39 @@ class TestCommutant:
         A = generate_algebra(gens)
         doubled = generate_algebra([np.kron(b, np.eye(2)) for b in A.basis])
         assert commutant(doubled).dim == 4 * commutant(A).dim
+
+
+    def test_chunked_fold_matches_one_system(self, rng, monkeypatch):
+        # chunks of one basis element each: every fold goes through the triangular factor
+        A, _, _ = random_semisimple_algebra(rng, max_dim=4)
+        n = A.ambient
+        B = np.reshape(A.basis, (-1, n, n))
+        N = null_space(sylvester_system(B, B))
+        monkeypatch.setattr(algebra, "_SYLVESTER_CHUNK", n**4)
+        C = commutant(A)
+        assert A.dim > 1 and C.dim == N.shape[1]
+        F = C.frame()
+        assert np.allclose(F @ F.conj().T, N @ N.conj().T, atol=1e-10)
+
+    def test_m16_commutant_peak_memory(self):
+        # a fresh process, so that the peak is this commutant's and not the test run's
+        script = (
+            "import resource, numpy as np\n"
+            "from reduction_lab.algebra import AlgebraBasis, commutant\n"
+            "E = np.eye(256, dtype=complex).reshape(256, 16, 16)\n"
+            "C = commutant(AlgebraBasis(ambient=16, basis=list(E), unital=True))\n"
+            "print(C.dim, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(algebra.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert proc.returncode == 0, proc.stderr
+        dim, maxrss_kib = map(int, proc.stdout.split())
+        assert dim == 1
+        assert maxrss_kib * 1024 < 2**29  # 0.5 GiB; the system built whole peaked at 1.1 GiB
 
 
 class TestBicommutant:

@@ -26,6 +26,7 @@ from reduction_lab.linalg import (
     sylvester_system,
 )
 from reduction_lab.sampling import random_complementary_pair, random_invertible
+from reduction_lab.tolerance import DEFAULT_TOL
 
 
 def power_iteration_norm(M, iters=4000):
@@ -282,6 +283,33 @@ class TestNullSpaceKernel:
         assert N.shape == (cols, cols - rank)
         assert np.allclose(N.conj().T @ N, np.eye(cols - rank), atol=1e-10)
         assert operator_norm(M @ N) < 1e-10 * operator_norm(M)
+
+    @pytest.mark.parametrize("k, p, q", [(3, 4, 5), (1, 2, 2), (0, 3, 3), (7, 6, 6)])
+    def test_sylvester_system_is_the_kron_stack(self, rng, k, p, q):
+        L = rng.standard_normal((k, p, p)) + 1j * rng.standard_normal((k, p, p))
+        R = rng.standard_normal((k, q, q)) + 1j * rng.standard_normal((k, q, q))
+        rows = [np.kron(np.eye(p), r.T) - np.kron(l, np.eye(q)) for l, r in zip(L, R)]
+        want = np.vstack([np.zeros((0, p * q), dtype=complex), *rows])
+        assert np.array_equal(sylvester_system(L, R), want)
+
+    @pytest.mark.parametrize("nullity", [0, 1, 5, 24], ids=["0", "1", "5", "roundoff"])
+    def test_tall_null_space_matches_thin_svd(self, rng, nullity):
+        def thin_svd_null_space(M, eps=DEFAULT_TOL.rank_eps):
+            _, sig, Vh = np.linalg.svd(M, full_matrices=False)
+            rank = 0 if sig[0] <= eps else int(np.sum(sig > eps * sig[0]))
+            return Vh[rank:].conj().T
+
+        def gaussian(r, c):
+            return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+        rows, cols = 300, 24
+        if nullity < cols:
+            M = gaussian(rows, cols - nullity) @ gaussian(cols - nullity, cols)
+        else:  # largest singular value below the rank tolerance: no constraint at all
+            M = 1e-12 * gaussian(rows, cols)
+        N, want = null_space(M), thin_svd_null_space(M)
+        assert N.shape == want.shape == (cols, nullity)
+        assert np.allclose(N @ N.conj().T, want @ want.conj().T, rtol=0, atol=1e-12)
 
     def test_sylvester_system_applies_the_map(self, rng):
         k, p, q = 3, 2, 4

@@ -17,7 +17,13 @@ from reduction_lab.gallery import (
     digraph_algebra,
     truncated_graph_example,
 )
-from reduction_lab.linalg import Subspace, null_space, operator_norm, sylvester_system
+from reduction_lab.linalg import (
+    Subspace,
+    null_space,
+    operator_norm,
+    solve_consistent,
+    sylvester_system,
+)
 from reduction_lab.modules import (
     Representation,
     _module_projection_family,
@@ -123,6 +129,20 @@ class TestInvariant:
                     seen[reference(W, A)] += 1
         assert seen[True] and seen[False]
 
+    def test_operator_norm_decides_where_frobenius_does_not(self):
+        # R = (I - P_V) b F is c I_2 for b = I_4 + c (lower-left I_2): ||R||_F = c sqrt(2)
+        # exceeds the Frobenius bound eps max(1, ||b||_F / 2) ~ eps for c > eps / sqrt(2)
+        eps = DEFAULT_TOL.eq_eps
+        V = Subspace.from_spanning(np.eye(4)[:, :2])
+        for c, want in ((0.9 * eps, True), (1.5 * eps, False)):
+            b = np.eye(4, dtype=complex)
+            b[2:, :2] = c * np.eye(2)
+            A = AlgebraBasis(ambient=4, basis=[b])
+            R = (np.eye(4) - V.projector()) @ b @ V.frame
+            assert np.linalg.norm(R) > eps * max(1.0, np.linalg.norm(b) / 2)
+            assert (operator_norm(R) <= eps * max(1.0, operator_norm(b))) == want
+            assert invariant(V, A) == want
+
     def test_non_finite_basis_rejected(self):
         A = AlgebraBasis(ambient=2, basis=[np.diag([np.nan, 1.0]).astype(complex)])
         with pytest.raises(MalformedInputError):
@@ -132,6 +152,32 @@ class TestInvariant:
         A = generate_algebra([np.eye(3)], unital=True)
         V = Subspace.from_spanning(rng.standard_normal((3, 2)))
         assert invariant(V, A)
+
+
+class TestAlgebraIdentityElement:
+    @staticmethod
+    def reference(A, tol=DEFAULT_TOL):
+        """One column per basis element i: the products b_i b_j and b_j b_i over j."""
+        cols = [
+            np.concatenate([np.r_[(bi @ bj).ravel(), (bj @ bi).ravel()] for bj in A.basis])
+            for bi in A.basis
+        ]
+        rhs = np.concatenate([np.concatenate([bj.ravel(), bj.ravel()]) for bj in A.basis])
+        coeff = solve_consistent(np.column_stack(cols), rhs, tol)
+        return None if coeff is None else A.combine(coeff)
+
+    def test_matches_pairwise_reference(self, rng):
+        for _ in range(12):
+            A, _, _ = random_semisimple_algebra(rng, max_dim=5, allow_degenerate=True)
+            e, want = modules.algebra_identity_element(A), self.reference(A)
+            assert e is not None and want is not None
+            assert np.allclose(e, want, rtol=0, atol=1e-12)
+            assert np.allclose(e @ e, e, atol=1e-9)
+
+    def test_nilpotent_span_has_none(self):
+        A = AlgebraBasis(ambient=3, basis=[unit(3, 0, 1), unit(3, 0, 2), unit(3, 1, 2)])
+        assert self.reference(A) is None
+        assert modules.algebra_identity_element(A) is None
 
 
 class TestIrreducibleDecomposition:
