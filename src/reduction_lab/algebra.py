@@ -317,7 +317,7 @@ class SubspaceLattice:
         members: list[Subspace] = [Subspace.zero(ambient), Subspace.full(ambient)]
 
         def seen(s: Subspace) -> bool:
-            return any(s.equals(t, tol) for t in members)
+            return s.equals_any(members, tol)
 
         queue = list(subspaces)
         for s in queue:
@@ -348,7 +348,7 @@ class SubspaceLattice:
         for s in self.members:
             for t in self.members:
                 for cand in (s.meet(t, tol), s.join(t, tol)):
-                    if not any(cand.equals(u, tol) for u in self.members):
+                    if not cand.equals_any(self.members, tol):
                         raise MalformedInputError("lattice is not closed under meet/join")
 
 

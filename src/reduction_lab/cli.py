@@ -14,6 +14,7 @@ or numerical breakdown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -424,8 +425,7 @@ def _override_tol(tol: Tolerance, args) -> Tolerance:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    raw_seed = os.environ.get(SEED_ENV_VAR, "42")
+def _add_common(parser: argparse.ArgumentParser, raw_seed: str) -> None:
     try:
         default_seed = int(raw_seed)
     except ValueError as exc:
@@ -439,6 +439,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, whose ``--seed`` default is read from ``REDUCTION_LAB_SEED``
+    on every call; a parser is built once per value of the variable."""
+    return _parser(os.environ.get(SEED_ENV_VAR, "42"))
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(raw_seed: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reduction-lab",
         description="Decide the reduction property for matrix algebras and "
@@ -448,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analyse an algebra spec file")
     p.add_argument("path")
-    _add_common(p)
+    _add_common(p, raw_seed)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("gallery", help="analyse a named gallery algebra")
@@ -462,11 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masks", default="", help="csl projection masks, e.g. '110,001'")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--decay", type=float, default=0.5)
-    _add_common(p)
+    _add_common(p, raw_seed)
     p.set_defaults(fn=cmd_gallery)
 
     p = sub.add_parser("selftest", help="run the randomized invariant suite")
-    _add_common(p)
+    _add_common(p, raw_seed)
     p.set_defaults(fn=cmd_selftest)
 
     return parser

@@ -49,7 +49,7 @@ def as_matrix(data) -> np.ndarray:
 
 
 def check_finite(M: np.ndarray) -> None:
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():
         raise MalformedInputError("matrix has non-finite entries")
 
 
@@ -62,7 +62,12 @@ def operator_norm(M) -> float:
     M = as_matrix(M)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def _opnorms(X: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of matrices held in the last two axes."""
+    return np.linalg.norm(X, 2, axis=(-2, -1))
 
 
 def is_hermitian(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -135,7 +140,13 @@ class Subspace:
     def from_spanning(
         vectors, ambient: int | None = None, tol: Tolerance = DEFAULT_TOL
     ) -> "Subspace":
-        """Orthonormal subspace spanned by the columns of ``vectors``."""
+        """Orthonormal subspace spanned by the columns of ``vectors``.
+
+        The frame is the left singular factor up to the rank.  A wide V (more
+        columns than rows) is first cut to the triangular factor R of
+        V^H = QR (QR with no Q): V = R^H Q^H, so R^H has the same left factor
+        and singular values, and no right factor of V's width is built.
+        """
         V = np.asarray(vectors, dtype=complex)
         if V.ndim == 1:
             V = V[:, None]
@@ -145,6 +156,8 @@ class Subspace:
             raise MalformedInputError("vector length does not match the ambient dimension")
         if V.shape[1] == 0:
             return Subspace(frame=np.zeros((n, 0), dtype=complex), ambient=n)
+        if V.shape[1] > n:
+            V = np.linalg.qr(V.conj().T, mode="r").conj().T
         W, sig, _ = np.linalg.svd(V, full_matrices=False)
         return Subspace(frame=W[:, : _rank(sig, tol)], ambient=n)
 
@@ -180,6 +193,14 @@ class Subspace:
         if self.ambient != other.ambient or self.dim != other.dim:
             return False
         return operator_norm(self.projector() - other.projector()) <= tol.eq_eps
+
+    def equals_any(self, others, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Whether ``equals`` holds against any of ``others``: one stacked operator
+        norm of the projector differences to those of the same dimension."""
+        same = [t.projector() for t in others if (t.ambient, t.dim) == (self.ambient, self.dim)]
+        if not same:
+            return False
+        return bool(np.any(_opnorms(self.projector() - np.array(same)) <= tol.eq_eps))
 
     def join(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> "Subspace":
         return Subspace.from_spanning(

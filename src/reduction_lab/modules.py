@@ -13,7 +13,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraBasis,
-    _vec,
     commutant,
     radical,
 )
@@ -27,6 +26,8 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    _opnorms,
+    _rank,
     check_finite,
     eig_clusters,
     identity,
@@ -135,11 +136,6 @@ class IntertwinerSpace:
         return len(self.basis)
 
 
-def _opnorms(X: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of matrices held in the last two axes."""
-    return np.linalg.norm(X, 2, axis=(-2, -1))
-
-
 def invariant(V: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether AV is contained in V at the comparison tolerance.
 
@@ -195,9 +191,12 @@ def irreducible_decomposition(
 ) -> list[tuple[Subspace, int]]:
     """Direct-sum decomposition of C^n into irreducible submodules with class labels.
 
-    Splits along eigenspaces of random commutant elements and recurses;
-    distinct irreducibles receive the same label exactly when a nonzero
-    intertwiner exists between them.  The output order is deterministic.
+    Splits along eigenspaces of random commutant elements and recurses; a
+    1-dimensional piece is irreducible and is not split further.  Distinct
+    irreducibles receive the same label exactly when a nonzero intertwiner
+    exists between them: each unlabelled piece in turn is tested against every
+    later unlabelled piece of its dimension at once (see ``_intertwined``).
+    The output order is deterministic.
     """
     n = A.ambient
     if radical(A, tol).dim != 0:
@@ -212,6 +211,8 @@ def irreducible_decomposition(
     rng = np.random.default_rng(seed)
 
     def split(V: Subspace) -> list[Subspace]:
+        if V.dim == 1:
+            return [V]
         R = restriction_to_invariant(A, V, tol)
         C = commutant(R, tol)
         if C.dim == 1:
@@ -249,66 +250,124 @@ def irreducible_decomposition(
         if labels[i] >= 0:
             continue
         labels[i] = next_label
-        for j in range(i + 1, len(pieces)):
-            if labels[j] < 0 and pieces[j].dim == p.dim:
-                if intertwiners(p, pieces[j], A, tol).dim > 0:
+        rest = [j for j in range(i + 1, len(pieces)) if labels[j] < 0 and pieces[j].dim == p.dim]
+        if rest:
+            for j, linked in zip(rest, _intertwined(p, [pieces[j] for j in rest], A, tol)):
+                if linked:
                     labels[j] = next_label
         next_label += 1
     return list(zip(pieces, labels))
 
 
+def _intertwiner_systems(A: AlgebraBasis, sources: list, targets: list) -> np.ndarray:
+    """The Sylvester systems of T(a|_V) = (a|_W)T in frame coordinates, one per pair
+    (V, W) of ``sources`` and ``targets`` (each list of one dimension), stacked.
+
+    Both restricted stacks are divided by the power of two nearest the largest
+    Frobenius norm of the basis, so the rank floor applied to a system does not
+    depend on the basis scale; the division is exact, so a unit-scale basis
+    keeps every bit of its system.
+    """
+    n = A.ambient
+    top = max((float(np.linalg.norm(b)) for b in A.basis), default=1.0) or 1.0
+    B = np.reshape(A.basis, (-1, n, n)) / 2.0 ** np.round(np.log2(top))
+    V, W = (np.array([S.frame for S in group])[:, None] for group in (sources, targets))
+    lefts, rights = (F.conj().swapaxes(-1, -2) @ B @ F for F in (W, V))
+    p, q = lefts.shape[-1], rights.shape[-1]
+    S = sylvester_system(lefts.reshape(-1, p, p), rights.reshape(-1, q, q))
+    return S.reshape(len(sources), -1, p * q)
+
+
+def _intertwined(V: Subspace, targets: list, A: AlgebraBasis, tol: Tolerance) -> list:
+    """Whether a nonzero intertwiner maps the invariant V to each of the invariant
+    ``targets`` (all of V's dimension d): ``intertwiners(V, W).dim > 0`` for every
+    W at once, by one stacked QR (with no Q, when the systems are tall) and one
+    stacked SVD of the systems ``intertwiners`` builds.
+    """
+    S = _intertwiner_systems(A, [V] * len(targets), targets)
+    if S.shape[1] > S.shape[2]:
+        S = np.linalg.qr(S, mode="r")
+    return [_rank(s, tol) < V.dim**2 for s in np.linalg.svd(S, compute_uv=False)]
+
+
 def intertwiners(
     V: Subspace, W: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL
 ) -> IntertwinerSpace:
-    """Basis of all maps T with T(a|_V) = (a|_W)T, in frame coordinates.
-
-    Both restricted stacks are divided by the power of two nearest the largest
-    Frobenius norm of the basis, so the rank floor of ``null_space`` does not
-    depend on the basis scale; the division is exact, so a unit-scale basis
-    keeps every bit of its system.
+    """Basis of all maps T with T(a|_V) = (a|_W)T, in frame coordinates: the null
+    space of the scaled Sylvester system of ``_intertwiner_systems``.
     """
     for S in (V, W):
         if not invariant(S, A, tol):
             raise InvalidWitnessError("intertwiners need invariant subspaces")
     if V.dim == 0 or W.dim == 0:
         return IntertwinerSpace(source=V, target=W, basis=[])
-    top = max((float(np.linalg.norm(b)) for b in A.basis), default=1.0) or 1.0
-    B = np.reshape(A.basis, (-1, A.ambient, A.ambient)) / 2.0 ** np.round(np.log2(top))
-    lefts, rights = (S.frame.conj().T @ B @ S.frame for S in (W, V))
-    N = null_space(sylvester_system(lefts, rights), tol=tol)
+    N = null_space(_intertwiner_systems(A, [V], [W])[0], tol=tol)
     basis = [N[:, j].reshape(W.dim, V.dim) for j in range(N.shape[1])]
     return IntertwinerSpace(source=V, target=W, basis=basis)
 
 
-def _module_projection_family(V: Subspace, comm: AlgebraBasis, tol: Tolerance):
-    """The least-Frobenius module projection onto V and a basis of its free directions.
+def _module_projection_families(subspaces: list, comm: AlgebraBasis, tol: Tolerance):
+    """The least-Frobenius module projection onto each of ``subspaces`` and a basis
+    of its free directions, from one stacked SVD.
 
     ``comm`` is the commutant, whose basis is orthonormal in the Frobenius
     inner product.  A module projection onto V is p = sum_i y_i C_i over that
     basis with range inside V, (I - P_V) p = 0, that fixes V pointwise,
     p F = F for the frame F of V.  These rows are all at unit scale, whatever
     the scale of the algebra's basis, and there are only dim(commutant)
-    unknowns.  As the C_i are orthonormal, the least-norm y gives the
-    least-Frobenius p0, and an orthonormal null space gives Frobenius-
-    orthonormal directions.  Returns (p0, D) with D a (k, n, n) stack, or
-    None when no module projection exists.
+    unknowns.  The systems of all V with 0 < dim V < n are stacked, their
+    frames zero-padded to the largest dimension; zero rows change neither the
+    least-squares solutions nor the null spaces.  One SVD gives each system's
+    rank at the rank tolerance, its least-norm y (the pseudo-inverse solution,
+    kept only under ``solve_consistent``'s residual test) and its null space
+    (the trailing right singular vectors).  As the C_i are orthonormal, the
+    least-norm y gives the least-Frobenius p0, and an orthonormal null space
+    gives Frobenius-orthonormal directions.
+
+    Returns (P0, D, counts): the p0 as a (W, n, n) stack and the directions as a
+    (W, k, n, n) stack, each subspace's counts[w] directions first and zeros
+    after; or None when some subspace admits no module projection.
     """
-    n = V.ambient
-    if V.dim in (0, n):
-        p0 = np.zeros((n, n), dtype=complex) if V.dim == 0 else identity(n)
-        return p0, np.zeros((0, n, n), dtype=complex)
+    n = comm.ambient
     C = np.reshape(comm.basis, (-1, n, n))
-    M = np.vstack(
-        [
-            ((identity(n) - V.projector()) @ C).reshape(len(C), -1).T,
-            (C @ V.frame).reshape(len(C), -1).T,
-        ]
-    )
-    rhs = np.concatenate([np.zeros(n * n, dtype=complex), _vec(V.frame)])
-    y = solve_consistent(M, rhs, tol)
-    if y is None:
+    P0 = np.zeros((len(subspaces), n, n), dtype=complex)
+    P0[[V.dim == n for V in subspaces]] = identity(n)
+    counts = np.zeros(len(subspaces), dtype=int)
+    free = [w for w, V in enumerate(subspaces) if 0 < V.dim < n]
+    if not free:
+        return P0, np.zeros((len(subspaces), 0, n, n), dtype=complex), counts
+    F = np.zeros((len(free), n, max(subspaces[w].dim for w in free)), dtype=complex)
+    for row, w in enumerate(free):
+        F[row, :, : subspaces[w].dim] = subspaces[w].frame
+    perp = identity(n) - F @ F.conj().swapaxes(-1, -2)
+    M = np.concatenate([perp[:, None] @ C, C @ F[:, None]], axis=3).reshape(len(free), len(C), -1)
+    M = M.swapaxes(1, 2)
+    rhs = np.concatenate([np.zeros((len(free), n, n)), F], axis=2).reshape(len(free), -1)
+    U, sig, Vh = np.linalg.svd(M, full_matrices=False)
+    rank = np.array([_rank(s, tol) for s in sig])
+    keep = np.arange(len(C)) < rank[:, None]
+    inv = np.divide(1.0, sig, out=np.zeros_like(sig), where=keep)
+    y = np.einsum("wji,wj->wi", Vh.conj(), inv * np.einsum("wrj,wr->wj", U.conj(), rhs))
+    resid = np.linalg.norm(np.einsum("wrj,wj->wr", M, y) - rhs, axis=1)
+    if np.any(resid > tol.eq_eps * np.maximum(1.0, np.linalg.norm(rhs, axis=1))):
         return None
-    return np.tensordot(y, C, 1), np.tensordot(null_space(M, tol=tol).T, C, 1)
+    counts[free] = len(C) - rank
+    N = np.zeros((len(free), counts.max(), len(C)), dtype=complex)
+    for row, r in enumerate(rank):
+        N[row, : len(C) - r] = Vh[row, r:].conj()
+    D = np.zeros((len(subspaces), counts.max(), n, n), dtype=complex)
+    P0[free], D[free] = np.tensordot(y, C, 1), np.tensordot(N, C, 1)
+    return P0, D, counts
+
+
+def _module_projection_family(V: Subspace, comm: AlgebraBasis, tol: Tolerance):
+    """``_module_projection_families`` of V alone: (p0, D) with D its (k, n, n)
+    directions, or None when no module projection exists."""
+    families = _module_projection_families([V], comm, tol)
+    if families is None:
+        return None
+    P0, D, counts = families
+    return P0[0], D[0, : counts[0]]
 
 
 def module_complement(
@@ -317,7 +376,8 @@ def module_complement(
     """An invariant complement of V, or None when no module projection exists.
 
     The complement is the kernel of the least-Frobenius module projection
-    onto V, solved in the coordinates of the commutant.
+    onto V, solved in the coordinates of the commutant (see
+    ``_module_projection_families``).
     """
     if not invariant(V, A, tol):
         raise InvalidWitnessError("module complements need an invariant subspace")
@@ -409,24 +469,22 @@ def _min_norm_module_projections(
 ) -> np.ndarray:
     """Module projections of least operator norm onto each of ``subspaces``, stacked.
 
-    Each subspace gets its own commutant-coordinate system (see
-    ``_module_projection_family``); one ``_spectral_norm_minimiser`` call solves
-    every subspace V with 0 < dim V < n (barrier gap <= 1e-11 relative at exit; still
-    reported uncertified because no dual value is reported), and one batched check
-    re-verifies each result there as an idempotent commuting with the algebra.
+    Each subspace gets its own commutant-coordinate system, all from one stacked
+    SVD (see ``_module_projection_families``); one ``_spectral_norm_minimiser``
+    call solves every subspace V with 0 < dim V < n (barrier gap <= 1e-11 relative
+    at exit; still reported uncertified because no dual value is reported), and one
+    batched check re-verifies each result there as an idempotent commuting with
+    the algebra.
     """
     n = A.ambient
-    families = [_module_projection_family(V, comm, tol) for V in subspaces]
-    if any(f is None for f in families):
+    families = _module_projection_families(subspaces, comm, tol)
+    if families is None:
         raise NotComplementableError("subspace admits no module projection")
-    P = np.array([p0 for p0, _ in families])
+    P, D, _ = families
     free = [i for i, V in enumerate(subspaces) if 0 < V.dim < n]
     if not free:
         return P
-    D = np.zeros((len(free), max(len(families[i][1]) for i in free), n, n), dtype=complex)
-    for row, i in enumerate(free):
-        D[row, : len(families[i][1])] = families[i][1]
-    p = _spectral_norm_minimiser(P[free], D)
+    p = _spectral_norm_minimiser(P[free], D[free])
 
     scale = np.maximum(1.0, _opnorms(p))
     if not np.all(_opnorms(p @ p - p) <= 1e-6 * scale**2):
@@ -449,7 +507,7 @@ def min_norm_module_projection(
 
     Minimises over the affine family p0 + d with d in the commutant, range(d)
     inside V and d vanishing on V, solved in the coordinates of the
-    commutant (see ``_module_projection_family``); the result is re-verified
+    commutant (see ``_module_projection_families``); the result is re-verified
     to be an idempotent commuting with the algebra, with range V.
     """
     if not invariant(V, A, tol):
@@ -502,9 +560,12 @@ def _projection_constant_estimate(
     tol: Tolerance,
 ) -> tuple[float, list]:
     """``projection_constant_estimate`` at amplification 1, given the reduction
-    certificate and the commutant ``comm`` of A.  One ``_min_norm_module_projections``
-    pass solves every candidate, to a barrier gap <= 1e-11 relative at exit;
-    still reported uncertified because no dual value is reported.
+    certificate and the commutant ``comm`` of A.  A union of pieces is one span
+    of their stacked frames, and a candidate is dropped when it equals an earlier
+    one (``Subspace.equals_any``: one stacked test against those of its
+    dimension).  One ``_min_norm_module_projections`` pass solves every
+    candidate, to a barrier gap <= 1e-11 relative at exit; still reported
+    uncertified because no dual value is reported.
     """
     if not cert.verdict:
         raise StructurePreconditionError("projection constants need the reduction property")
@@ -514,13 +575,11 @@ def _projection_constant_estimate(
     candidates: list[Subspace] = []
 
     def add(s: Subspace) -> None:
-        if s.dim == 0:
-            return
-        if not invariant(s, A, tol):
-            return
-        if any(s.equals(t, tol) for t in candidates):
-            return
-        candidates.append(s)
+        if s.dim and invariant(s, A, tol) and not s.equals_any(candidates, tol):
+            candidates.append(s)
+
+    def union(group: list) -> Subspace:
+        return Subspace.from_spanning(np.hstack([p.frame for p in group]), ambient=n, tol=tol)
 
     for p, _ in cert.pieces:
         add(p)
@@ -529,10 +588,7 @@ def _projection_constant_estimate(
         by_label.setdefault(lab, []).append(p)
     for group in by_label.values():
         if len(group) > 1:
-            iso = group[0]
-            for q in group[1:]:
-                iso = iso.join(q, tol)
-            add(iso)
+            add(union(group))
     # graph subspaces between isomorphic pieces
     for group in by_label.values():
         for i in range(len(group)):
@@ -551,7 +607,7 @@ def _projection_constant_estimate(
         _, ker_e = rank_and_range(identity(n) - cert.unit, tol)
         add(ker_e)
     # random unions of pieces (bounded number of draws; a mask drawn before
-    # gives the same join, so it is skipped before the join is built)
+    # gives the same union, so it is skipped before the union is built)
     if len(cert.pieces) > 1:
         drawn = set()
         for _ in range(2 * samples):
@@ -562,11 +618,7 @@ def _projection_constant_estimate(
             if not mask.any() or key in drawn:
                 continue
             drawn.add(key)
-            s = Subspace.zero(n)
-            for flag, (p, _) in zip(mask, cert.pieces):
-                if flag:
-                    s = s.join(p, tol)
-            add(s)
+            add(union([p for flag, (p, _) in zip(mask, cert.pieces) if flag]))
     add(Subspace.full(n))
 
     candidates = candidates[: max(samples, 1)]
@@ -597,7 +649,7 @@ def sample_invariant_subspaces(
             return
         if not invariant(s, A, tol):
             return
-        if any(s.equals(t, tol) for t in out):
+        if s.equals_any(out, tol):
             return
         out.append(s)
 

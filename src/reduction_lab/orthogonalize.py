@@ -24,6 +24,7 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    _opnorms,
     as_matrix,
     identity,
     is_idempotent,
@@ -147,27 +148,37 @@ def dixmier_orthogonalize(P, tol: Tolerance = DEFAULT_TOL) -> SimilarityReport:
     each g is +1 or -1 on each, and the cross terms average to zero.  The
     condition is guaranteed within (1 + 2 max ||p||)^2 and is usually far
     smaller; for a single idempotent it equals ||1 - 2p||.
+
+    The idempotency test (as ``is_idempotent``), the pairwise commutation test
+    and each member's atom cut are one stacked operator-norm call each.
     """
     mats = [as_matrix(p) for p in P]
     if not mats:
         raise StructurePreconditionError("need at least one idempotent")
     n = mats[0].shape[0]
-    for p in mats:
-        if p.shape != (n, n):
-            raise StructurePreconditionError("idempotents must share one ambient space")
-        if not is_idempotent(p, tol):
-            raise StructurePreconditionError("input is not idempotent at the tolerance")
-    for i, p in enumerate(mats):
-        for q in mats[i + 1 :]:
-            scale = max(1.0, operator_norm(p) * operator_norm(q))
-            if operator_norm(p @ q - q @ p) > tol.eq_eps * scale:
-                raise StructurePreconditionError("idempotents do not commute")
+    # members before the first of another shape are tested for idempotency
+    # first, so a family with both faults is reported as a member-by-member
+    # pass would report it
+    fit = next((k for k, p in enumerate(mats) if p.shape != (n, n)), len(mats))
+    P = np.array(mats[:fit]).reshape(fit, n, n)
+    size, defect = np.split(_opnorms(np.concatenate([P, P @ P - P])), 2)
+    if np.any(defect > tol.eq_eps * np.maximum(1.0, size) ** 2):
+        raise StructurePreconditionError("input is not idempotent at the tolerance")
+    if fit < len(mats):
+        raise StructurePreconditionError("idempotents must share one ambient space")
+    i, j = np.triu_indices(len(P), 1)
+    if len(i) and np.any(
+        _opnorms(P[i] @ P[j] - P[j] @ P[i]) > tol.eq_eps * np.maximum(1.0, size[i] * size[j])
+    ):
+        raise StructurePreconditionError("idempotents do not commute")
 
-    atoms = [identity(n)]
-    for p in mats:
+    atoms = identity(n)[None]
+    for p in P:
         # a nonzero idempotent has norm at least 1, so the cut needs no tolerance
-        atoms = [b for a in atoms for b in (a @ p, a - a @ p) if operator_norm(b) >= 0.5]
-    M = sum(a.conj().T @ a for a in atoms)
+        ap = atoms @ p
+        atoms = np.stack([ap, atoms - ap], axis=1).reshape(-1, n, n)
+        atoms = atoms[_opnorms(atoms) >= 0.5]
+    M = (atoms.conj().swapaxes(-1, -2) @ atoms).sum(axis=0)
     S = matrix_sqrt_positive(M, tol)
     return SimilarityReport.from_matrix(S)
 

@@ -260,6 +260,57 @@ class TestSubspace:
         N = null_space(1e-15 * np.ones((4, 4)))
         assert N.shape[1] == 4
 
+    @pytest.mark.parametrize("rank", [36, 20, 1, 0])
+    def test_wide_span_matches_svd_reference(self, rng, rank):
+        # the shape of generate_algebra's candidate matrix at n = 6: 36 x (d + d^2)
+        def svd_span(V, eps=DEFAULT_TOL.rank_eps):
+            W, sig, _ = np.linalg.svd(V, full_matrices=False)
+            r = 0 if sig[0] <= eps else int(np.sum(sig > eps * sig[0]))
+            return W[:, :r]
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        V = cplx(36, rank) @ cplx(rank, 1122) if rank else 1e-12 * cplx(36, 1122)
+        S, want = Subspace.from_spanning(V), svd_span(V)
+        assert S.dim == want.shape[1] == rank
+        assert np.linalg.norm(S.frame.conj().T @ S.frame - np.eye(rank)) <= 1e-12
+        assert np.linalg.norm(S.projector() - want @ want.conj().T, 2) <= 1e-12
+
+    def test_equals_any_keeps_what_pairwise_equals_keeps(self, rng):
+        # lines of a 2-dimensional V turned by sin(angle) = c eq_eps give
+        # ||dP|| = c eps and ||dP||_F = sqrt(2 turned) c eps: the cases with
+        # c in (1/sqrt(2), sqrt(6)) are those a Frobenius norm alone, cut at eps
+        # and eps sqrt(n), leaves undecided
+        eps, n = DEFAULT_TOL.eq_eps, 6
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+        def turned(c, lines):
+            F = Q[:, :2].copy()
+            for j in range(lines):
+                F[:, j] = np.sqrt(1 - (c * eps) ** 2) * Q[:, j] + c * eps * Q[:, 2 + j]
+            return Subspace.from_frame(F)
+
+        V = Subspace.from_frame(Q[:, :2])
+        family = [V, Subspace.from_frame(Q[:, :3]), Subspace.from_frame(Q[:, 3:5])]
+        family += [turned(c, lines) for c in (0.5, 0.9, 1.1, 2.0, 10.0) for lines in (1, 2)]
+        in_band = 0
+        for s in family:
+            for t in family:
+                diff = s.projector() - t.projector()
+                in_band += s.dim == t.dim and eps < np.linalg.norm(diff) <= eps * np.sqrt(n)
+                assert s.equals_any([t]) == s.equals(t)
+        assert in_band
+        order = [family[i] for i in rng.permutation(len(family))]
+        for candidates in (family, order, order[::-1]):
+            kept, want = [], []
+            for s in candidates:
+                if not s.equals_any(kept):
+                    kept.append(s)
+                if not any(s.equals(t) for t in want):
+                    want.append(s)
+            assert [id(s) for s in kept] == [id(s) for s in want]
+
 
 class TestNullSpaceKernel:
     @pytest.mark.parametrize("shape", [(4096, 64), (64, 512)], ids=["tall", "wide"])

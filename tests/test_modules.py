@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -710,3 +712,123 @@ class TestHatRepresentation:
             top = Subspace.from_spanning(np.vstack([np.eye(m), np.zeros((m, m))]), ambient=2 * m)
             W = module_complement(top, hat_alg)
             assert (T is not None) == (W is not None)
+
+
+def per_item_family(V, comm, tol=DEFAULT_TOL):
+    """The per-subspace module-projection family that the stacked SVD replaced:
+    one lstsq for the least-norm coefficients and one null space per subspace."""
+    n = V.ambient
+    if V.dim in (0, n):
+        p0 = np.zeros((n, n), dtype=complex) if V.dim == 0 else np.eye(n, dtype=complex)
+        return p0, np.zeros((0, n, n), dtype=complex)
+    C = np.reshape(comm.basis, (-1, n, n))
+    M = np.vstack(
+        [
+            ((np.eye(n) - V.projector()) @ C).reshape(len(C), -1).T,
+            (C @ V.frame).reshape(len(C), -1).T,
+        ]
+    )
+    rhs = np.concatenate([np.zeros(n * n, dtype=complex), V.frame.reshape(-1)])
+    y = solve_consistent(M, rhs, tol)
+    if y is None:
+        return None
+    return np.tensordot(y, C, 1), np.tensordot(null_space(M, tol=tol).T, C, 1)
+
+
+def repeated_summand_algebra(rng):
+    """A conjugated block algebra with two or three blocks of one matrix size, so
+    that pieces of one dimension come both isomorphic and not."""
+    k = int(rng.integers(1, 3))
+    blocks = [(k, int(rng.integers(1, 3))) for _ in range(int(rng.integers(2, 4)))]
+    while sum(a * m for a, m in blocks) > 8:
+        blocks.pop()
+    if len(blocks) == 1:
+        blocks.append((k, 1))
+    literal = block_algebra_basis(blocks)
+    n = literal.ambient
+    R = random_invertible(n, rng, max_cond=20)
+    R_inv = np.linalg.inv(R)
+    return AlgebraBasis(ambient=n, basis=[R @ b @ R_inv for b in literal.basis], unital=True)
+
+
+class TestBatchedSummandLoops:
+    def test_labels_match_pairwise_intertwiners(self, rng):
+        for _ in range(20):
+            A = repeated_summand_algebra(rng)
+            dec = irreducible_decomposition(A, seed=int(rng.integers(2**31)))
+            for (p, a), (q, b) in itertools.combinations(dec, 2):
+                if p.dim == q.dim:
+                    assert (a == b) == (intertwiners(p, q, A).dim > 0)
+                else:
+                    assert a != b
+
+    @pytest.mark.parametrize("blocks", [[(2, 4)], [(1, 5)]], ids=["M2 x I4", "C x I5"])
+    def test_labels_stack_one_system_per_unlabelled_piece(self, monkeypatch, blocks):
+        # m isomorphic copies cost the m - 1 systems of the per-pair loop, not
+        # all m(m - 1)/2 pairs, in one stacked call
+        rows = []
+        build = modules._intertwiner_systems
+
+        def counting(A, sources, targets):
+            rows.append(len(sources))
+            return build(A, sources, targets)
+
+        monkeypatch.setattr(modules, "_intertwiner_systems", counting)
+        m = blocks[0][1]
+        dec = irreducible_decomposition(block_algebra_basis(blocks))
+        assert [label for _, label in dec] == [0] * m
+        assert rows == [m - 1]
+
+    def test_one_dimensional_pieces_are_not_split(self, monkeypatch):
+        # C^3: one restriction and one commutant for the whole space, none per line
+        calls = []
+        restrict = modules.restriction_to_invariant
+
+        def counting(A, V, tol=DEFAULT_TOL):
+            calls.append(V.dim)
+            return restrict(A, V, tol)
+
+        monkeypatch.setattr(modules, "restriction_to_invariant", counting)
+        A = generate_algebra([np.diag([1.0, 2.0, 3.0]).astype(complex)], unital=True)
+        assert [s.dim for s, _ in irreducible_decomposition(A)] == [1, 1, 1]
+        assert calls == [3]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: truncated_graph_example(4, 0.2),
+            lambda: a_lambda(2.0),
+            lambda: amplified_m2(),
+            lambda: generate_algebra([np.diag([1.0, 2.0, 0.0, 0.0]).astype(complex)]),
+        ],
+        ids=["truncated_graph_example(4, 0.2)", "a_lambda(2.0)", "M2 x I2", "C^2 + 0_2"],
+    )
+    def test_stacked_families_match_per_item(self, make):
+        A = make()
+        comm = commutant(A)
+        subspaces = [V for V, _ in projection_constant_estimate(A, seed=42)[1]]
+        subspaces += sample_invariant_subspaces(A, count=8, seed=1)
+        P0, D, counts = modules._module_projection_families(subspaces, comm, DEFAULT_TOL)
+        n = A.ambient
+        assert D.shape[1] == counts.max()
+        for w, V in enumerate(subspaces):
+            p0, Dw = per_item_family(V, comm)
+            assert counts[w] == len(Dw) and not D[w, counts[w]:].any()
+            got, want = D[w, : counts[w]].reshape(-1, n * n).T, Dw.reshape(-1, n * n).T
+            assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= 1e-12
+            # the same affine family p0 + span(D), and the stacked p0 is its
+            # least-Frobenius point; lstsq's p0 may carry a component along a
+            # direction it also counts free, when a singular value of the system
+            # lies between lstsq's cutoff and the rank tolerance
+            scale = max(1.0, np.linalg.norm(p0))
+            delta = (P0[w] - p0).reshape(-1)
+            assert np.linalg.norm(delta - got @ (got.conj().T @ delta)) <= 1e-12 * scale
+            assert np.linalg.norm(got.conj().T @ P0[w].reshape(-1)) <= 1e-12 * scale
+
+    def test_stacked_families_reject_like_per_item(self):
+        A = AlgebraBasis(ambient=2, basis=[np.eye(2, dtype=complex), unit(2, 0, 1)], unital=True)
+        V = Subspace.span_of_basis_vector(2, 0)
+        comm = commutant(A)
+        assert per_item_family(V, comm) is None
+        assert modules._module_projection_families([Subspace.full(2), V], comm, DEFAULT_TOL) is None
+        assert module_complement(V, A) is None

@@ -9,7 +9,7 @@ from reduction_lab.errors import (
     StructurePreconditionError,
 )
 from reduction_lab.gallery import a_lambda, truncated_graph_example
-from reduction_lab.linalg import matrix_sqrt_positive, operator_norm
+from reduction_lab.linalg import is_idempotent, matrix_sqrt_positive, operator_norm
 from reduction_lab.modules import Representation
 from reduction_lab.orthogonalize import (
     SimilarityReport,
@@ -27,6 +27,7 @@ from reduction_lab.sampling import (
     random_invertible,
     random_semisimple_algebra,
 )
+from reduction_lab.tolerance import DEFAULT_TOL
 
 from conftest import unit
 
@@ -97,6 +98,66 @@ class TestDixmier:
         q = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         with pytest.raises(StructurePreconditionError):
             dixmier_orthogonalize([p, q])
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            [np.diag([1.0, 2.0])],
+            [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([1.0, 1.0 + 1e-6])],
+            [np.diag([1.0, 0.0]), np.array([[0.5, 0.5], [0.5, 0.5]])],
+            [
+                np.diag([1.0, 0.0, 0.0]),
+                np.diag([1.0, 1.0, 0.0]),
+                np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1e-7, 1.0]]),
+            ],
+            [np.diag([1.0, 0.0]), np.diag([1.0, 1.0, 0.0])],
+            [np.diag([1.0, 2.0]), np.diag([1.0, 1.0, 0.0])],
+            [np.diag([1.0, 0.0]), np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 2.0])],
+            [np.ones((2, 3))],
+        ],
+        ids=[
+            "non-idempotent",
+            "third-non-idempotent",
+            "non-commuting",
+            "commutator-1e-7",
+            "shapes",
+            "non-idempotent-then-shapes",
+            "shapes-then-non-idempotent",
+            "non-square",
+        ],
+    )
+    def test_stacked_checks_raise_like_per_pair_checks(self, family):
+        # the per-member and per-pair checks that the stacked norms replaced
+        def per_pair_message(mats):
+            n = mats[0].shape[0]
+            for p in mats:
+                if p.shape != (n, n):
+                    return "idempotents must share one ambient space"
+                if not is_idempotent(p):
+                    return "input is not idempotent at the tolerance"
+            for i, p in enumerate(mats):
+                for q in mats[i + 1 :]:
+                    scale = max(1.0, operator_norm(p) * operator_norm(q))
+                    if operator_norm(p @ q - q @ p) > DEFAULT_TOL.eq_eps * scale:
+                        return "idempotents do not commute"
+            return None
+
+        family = [np.asarray(p, dtype=complex) for p in family]
+        want = per_pair_message(family)
+        assert want is not None
+        with pytest.raises(StructurePreconditionError) as err:
+            dixmier_orthogonalize(family)
+        assert str(err.value) == want
+
+    def test_atoms_sum_matches_per_atom_loop(self, rng):
+        for n, m in ((4, 2), (6, 3), (8, 4)):
+            fam = random_commuting_idempotents(rng, n, m)
+            atoms = [np.eye(n, dtype=complex)]
+            for p in fam:
+                atoms = [b for a in atoms for b in (a @ p, a - a @ p) if operator_norm(b) >= 0.5]
+            S = matrix_sqrt_positive(sum(a.conj().T @ a for a in atoms))
+            got = dixmier_orthogonalize(fam).S
+            assert np.linalg.norm(got - S) <= 1e-12 * np.linalg.norm(S)
 
     def test_closure_cap(self, rng):
         fam = [np.diag((np.arange(6) == i).astype(complex)) for i in range(6)]
