@@ -5,8 +5,11 @@ bilinear form, centres and minimal central idempotents, and the alg/lat pair
 of maps between subspace lattices and algebras.
 
 Bases are re-orthonormalised in vectorised form (C^(n^2)), so span-equality
-tests reduce to frame comparison.  Row-major vectorisation is used
-throughout: vec(AXB) = (A kron B^T) vec(X).
+tests reduce to frame comparison; a basis built from an orthonormal frame
+keeps that frame.  A generated algebra also keeps its generators, and the
+commutant and invariance tests work from them: A' = {g}' and AV in V iff
+gV in V for each generator g.  Row-major vectorisation is used throughout:
+vec(AXB) = (A kron B^T) vec(X).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    _left_factor,
     as_matrix,
     eig_clusters,
     identity,
@@ -52,15 +56,24 @@ def _vec(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlgebraBasis:
-    """A linearly independent spanning set for a multiplicatively closed span."""
+    """A linearly independent spanning set for a multiplicatively closed span.
+
+    ``generators``, when given, generate the algebra (with the identity, for a
+    unital one); left empty, the basis itself is the generating set.  They are
+    neither compared nor shown.  A basis made from an orthonormal frame
+    (``_basis_from_frame``) holds that frame, and ``frame`` returns it.
+    """
 
     ambient: int
     basis: tuple = field(repr=False)
     unital: bool = False
+    generators: tuple = field(default=(), repr=False, compare=False)
+    _frame: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis", tuple(self.basis))
-        for b in self.basis:
+        object.__setattr__(self, "generators", tuple(self.generators))
+        for b in self.basis + self.generators:
             if b.shape != (self.ambient, self.ambient):
                 raise MalformedInputError("basis elements must be square of the ambient size")
 
@@ -69,7 +82,10 @@ class AlgebraBasis:
         return len(self.basis)
 
     def frame(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        """Orthonormal frame of the vectorised span, shape (n^2, dim)."""
+        """Orthonormal frame of the vectorised span, shape (n^2, dim): the held
+        frame if there is one, else the left singular factor of the basis."""
+        if self._frame is not None:
+            return self._frame
         stacked = np.reshape(self.basis, (self.dim, self.ambient**2)).T
         return Subspace.from_spanning(stacked, ambient=self.ambient**2, tol=tol).frame
 
@@ -111,10 +127,18 @@ class AlgebraBasis:
 
 
 def span_equal(A: AlgebraBasis, B: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether ||P_A - P_B|| <= eps for the projections onto the two spans.  At equal
+    ranks that gap is ||R|| for R = (I - P_A) F_B, over the frame F_B of B, so it is
+    read from the top eigenvalue of the rank x rank matrix R* R, with no SVD."""
     if A.ambient != B.ambient or A.dim != B.dim:
         return False
     FA, FB = A.frame(tol), B.frame(tol)
-    return operator_norm(FA @ FA.conj().T - FB @ FB.conj().T) <= tol.eq_eps
+    if FA.shape[1] != FB.shape[1]:
+        return False
+    if not FB.shape[1]:
+        return True
+    R = FB - FA @ (FA.conj().T @ FB)
+    return bool(np.sqrt(max(np.linalg.eigvalsh(R.conj().T @ R)[-1], 0.0)) <= tol.eq_eps)
 
 
 def _products_outside(F: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:
@@ -129,8 +153,26 @@ def _products_outside(F: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _basis_from_frame(F: np.ndarray, n: int, unital: bool) -> AlgebraBasis:
-    return AlgebraBasis(ambient=n, basis=list(F.T.reshape(-1, n, n)), unital=unital)
+def _basis_from_frame(F: np.ndarray, n: int, unital: bool, generators=()) -> AlgebraBasis:
+    """The algebra whose basis is the orthonormal (n^2, d) frame F; it holds F."""
+    basis = list(F.T.reshape(-1, n, n))
+    A = AlgebraBasis(ambient=n, basis=basis, unital=unital, generators=generators)
+    object.__setattr__(A, "_frame", F)
+    return A
+
+
+def _generating_stack(A: AlgebraBasis) -> np.ndarray:
+    """A (k, n, n) stack whose commutant and invariant subspaces are A's: the
+    generators when there are some and fewer than the basis elements, else the basis."""
+    mats = A.generators if 0 < len(A.generators) < A.dim else A.basis
+    return np.reshape(mats, (-1, A.ambient, A.ambient))
+
+
+def _generator_products(G: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """The products g N_j over the (k, n, n) stack G and the columns N_j of the
+    (n^2, m) frame N, vectorised, as the n^2 x km columns of one array."""
+    n = G.shape[-1]
+    return (G[:, None] @ N.T.reshape(-1, n, n)).reshape(-1, n * n).T
 
 
 def generate_algebra(
@@ -141,10 +183,16 @@ def generate_algebra(
 ) -> AlgebraBasis:
     """Basis of the smallest subalgebra containing the generators.
 
-    Iterates degree-doubling products until the span dimension stabilises;
-    the span dimension is capped by n^2 so the loop always terminates.  A pass
-    takes one batched product and residual test per frame element.  An empty
-    generator list is allowed only for unital algebras, in which case
+    The nonzero generators are divided by the power of two nearest their
+    Frobenius norms (an exact scaling) and kept as the result's
+    ``generators``.  The span is closed Krylov-style under left
+    multiplication by them, which suffices, as every word is a generator
+    times a shorter word: each pass multiplies only the newest orthonormal
+    directions by each generator, and keeps the residuals against the frame
+    whose singular values exceed the rank tolerance (absolute: the products
+    are at unit scale), re-orthogonalised against the frame.  So the closure
+    makes g * dim products for g generators, and stops at dimension n^2.  An
+    empty generator list is allowed only for unital algebras, in which case
     ``ambient`` supplies the dimension.
     """
     mats = [as_matrix(g) for g in generators]
@@ -161,21 +209,20 @@ def generate_algebra(
         raise MalformedInputError("cannot infer the ambient dimension from an empty list")
     if ambient is not None and n != ambient:
         raise MalformedInputError("generators do not match the requested ambient dimension")
-    if unital:
-        mats = [identity(n)] + mats
-
-    F = Subspace.from_spanning(np.column_stack([_vec(m) for m in mats]), tol=tol).frame
-    while True:
-        new = _products_outside(F, F.T.reshape(-1, n, n), tol.rank_eps)
-        if not len(new):
-            break
-        F = Subspace.from_spanning(np.hstack([F, new.T]), tol=tol).frame
-        if F.shape[1] >= n * n:
-            break
+    norms = [float(np.linalg.norm(m)) for m in mats]
+    G = [m / 2.0 ** np.round(np.log2(s)) for m, s in zip(mats, norms) if s > 0]
+    G = np.reshape(G, (-1, n, n))
+    start = np.reshape(([identity(n)] if unital else []) + list(G), (-1, n * n)).T
+    F = new = Subspace.from_spanning(start, ambient=n * n, tol=tol).frame
+    while len(G) and new.shape[1] and F.shape[1] < n * n:
+        P = _generator_products(G, new)
+        W, sig = _left_factor(P - F @ (F.conj().T @ P))
+        W = W[:, sig > tol.rank_eps]
+        new = np.linalg.qr(W - F @ (F.conj().T @ W))[0]
+        F = np.hstack([F, new])
 
     alg = _basis_from_frame(F, n, unital=False)
-    is_unital = unital or alg.contains_identity(tol)
-    return AlgebraBasis(ambient=n, basis=alg.basis, unital=is_unital)
+    return _basis_from_frame(F, n, unital or alg.contains_identity(tol), tuple(G))
 
 
 _SYLVESTER_CHUNK = 2**21  # entries (32 MiB) of the Sylvester rows ``commutant`` builds at once
@@ -184,12 +231,14 @@ _SYLVESTER_CHUNK = 2**21  # entries (32 MiB) of the Sylvester rows ``commutant``
 def commutant(A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Basis of {T : Tb = bT for all b in A}, via a stacked Sylvester system.
 
-    The rows are built a chunk of basis elements at a time; before the next
-    chunk is stacked below them, the rows so far are cut to their n^2 x n^2
-    triangular factor (QR with no Q), which has the same null space.
+    The rows come from A's generators when it has fewer of them than basis
+    elements, else from the basis (``_generating_stack``).  They are built a
+    chunk of elements at a time; before the next chunk is stacked below them,
+    the rows so far are cut to their n^2 x n^2 triangular factor (QR with no
+    Q), which has the same null space.
     """
     n = A.ambient
-    B = np.reshape(A.basis, (-1, n, n))
+    B = _generating_stack(A)
     s = max(1, _SYLVESTER_CHUNK // n**4)
     rows = sylvester_system(B[:s], B[:s])
     for i in range(s, len(B), s):

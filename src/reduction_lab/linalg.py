@@ -105,8 +105,8 @@ def matrix_sqrt_positive(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise MalformedInputError("matrix square root requires a square matrix")
-    scale = max(1.0, operator_norm(M))
-    if operator_norm(M - M.conj().T) > tol.eq_eps * scale:
+    size, skew = _opnorms(np.stack([M, M - M.conj().T]))
+    if skew > tol.eq_eps * max(1.0, size):
         raise MalformedInputError("matrix is not Hermitian at the comparison tolerance")
     # symmetrise before eigh to suppress drift
     H = (M + M.conj().T) / 2
@@ -142,10 +142,8 @@ class Subspace:
     ) -> "Subspace":
         """Orthonormal subspace spanned by the columns of ``vectors``.
 
-        The frame is the left singular factor up to the rank.  A wide V (more
-        columns than rows) is first cut to the triangular factor R of
-        V^H = QR (QR with no Q): V = R^H Q^H, so R^H has the same left factor
-        and singular values, and no right factor of V's width is built.
+        The frame is the left singular factor up to the rank; a wide V (more
+        columns than rows) is cut QR-first (see ``_left_factor``).
         """
         V = np.asarray(vectors, dtype=complex)
         if V.ndim == 1:
@@ -156,9 +154,7 @@ class Subspace:
             raise MalformedInputError("vector length does not match the ambient dimension")
         if V.shape[1] == 0:
             return Subspace(frame=np.zeros((n, 0), dtype=complex), ambient=n)
-        if V.shape[1] > n:
-            V = np.linalg.qr(V.conj().T, mode="r").conj().T
-        W, sig, _ = np.linalg.svd(V, full_matrices=False)
+        W, sig = _left_factor(V)
         return Subspace(frame=W[:, : _rank(sig, tol)], ambient=n)
 
     @staticmethod
@@ -238,6 +234,17 @@ class Subspace:
                 F[:, j] *= np.conj(piv) / abs(piv)
         flat = [(round(z.real, digits), round(z.imag, digits)) for z in F.T.reshape(-1)]
         return (self.dim, tuple(flat))
+
+
+def _left_factor(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin left singular factor and singular values of a nonempty V.  A wide V
+    is first cut to the triangular factor R of V^H = QR (QR with no Q): V = R^H Q^H,
+    so R^H has the same left factor and singular values, and no right factor of
+    V's width is built."""
+    if V.shape[1] > V.shape[0]:
+        V = np.linalg.qr(V.conj().T, mode="r").conj().T
+    W, sig, _ = np.linalg.svd(V, full_matrices=False)
+    return W, sig
 
 
 def _rank(sig: np.ndarray, tol: Tolerance) -> int:

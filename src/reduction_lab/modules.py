@@ -13,6 +13,8 @@ import numpy as np
 
 from .algebra import (
     AlgebraBasis,
+    _basis_from_frame,
+    _generating_stack,
     commutant,
     radical,
 )
@@ -139,16 +141,19 @@ class IntertwinerSpace:
 def invariant(V: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether AV is contained in V at the comparison tolerance.
 
-    The whole basis is tested at once: one stacked product R = (I - P_V) b F
-    over the basis b, for the frame F of V, against ||R|| <= eps max(1, ||b||).
-    Frobenius norms pass it first when ||R||_F <= eps max(1, ||b||_F / sqrt(n)),
-    as ||R|| <= ||R||_F and ||b|| >= ||b||_F / sqrt(n); else operator norms decide.
+    AV is in V exactly when bV is in V for each b of a generating set: A's
+    generators when it has fewer of them than basis elements, else the basis
+    (``_generating_stack``).  They are tested at once: one stacked product
+    R = (I - P_V) b F over them, for the frame F of V, against
+    ||R|| <= eps max(1, ||b||).  Frobenius norms pass it first when
+    ||R||_F <= eps max(1, ||b||_F / sqrt(n)), as ||R|| <= ||R||_F and
+    ||b|| >= ||b||_F / sqrt(n); else operator norms decide.
     """
     if V.ambient != A.ambient:
         raise MalformedInputError("subspace and algebra live in different spaces")
     if V.dim == 0:
         return True
-    B = np.reshape(A.basis, (-1, A.ambient, A.ambient))
+    B = _generating_stack(A)
     R = (identity(A.ambient) - V.projector()) @ B @ V.frame
     check_finite(R)
     bound = np.maximum(1.0, np.linalg.norm(B, axis=(-2, -1)) / np.sqrt(A.ambient))
@@ -160,14 +165,15 @@ def invariant(V: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> boo
 def restriction_to_invariant(
     A: AlgebraBasis, V: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> AlgebraBasis:
-    """The algebra of restricted actions on an invariant subspace, in frame coordinates."""
-    F = V.frame
-    B = np.reshape(A.basis, (-1, A.ambient, A.ambient))
-    restricted = (F.conj().T @ B @ F).reshape(A.dim, V.dim**2)
+    """The algebra of restricted actions on an invariant subspace, in frame
+    coordinates: its basis is the orthonormal frame of the restricted basis,
+    and its generators are the restricted generators F* g F, for the frame F of V."""
+    F, n = V.frame, A.ambient
+    restricted = (F.conj().T @ np.reshape(A.basis, (-1, n, n)) @ F).reshape(A.dim, V.dim**2)
     frame = Subspace.from_spanning(restricted.T, ambient=V.dim**2, tol=tol).frame
-    mats = list(frame.T.reshape(-1, V.dim, V.dim))
-    unital = AlgebraBasis(V.dim, mats, unital=False).contains_identity(tol) if mats else False
-    return AlgebraBasis(ambient=V.dim, basis=mats, unital=unital)
+    gens = tuple(F.conj().T @ np.reshape(A.generators, (-1, n, n)) @ F)
+    unital = bool(frame.shape[1]) and _basis_from_frame(frame, V.dim, False).contains_identity(tol)
+    return _basis_from_frame(frame, V.dim, unital, gens)
 
 
 def algebra_identity_element(

@@ -27,10 +27,21 @@ from reduction_lab.errors import (
     MalformedInputError,
     StructurePreconditionError,
 )
-from reduction_lab.gallery import truncated_graph_example
+from reduction_lab.gallery import digraph_algebra, truncated_graph_example
 from reduction_lab.linalg import Subspace, null_space, operator_norm, sylvester_system
-from reduction_lab.modules import has_reduction_property
-from reduction_lab.sampling import random_semisimple_algebra
+from reduction_lab.modules import (
+    has_reduction_property,
+    invariant,
+    restriction_to_invariant,
+    sample_invariant_subspaces,
+)
+from reduction_lab.sampling import (
+    block_algebra_basis,
+    random_digraph,
+    random_invertible,
+    random_semisimple_algebra,
+    random_subspace,
+)
 from reduction_lab.tolerance import DEFAULT_TOL
 
 from conftest import unit
@@ -463,3 +474,97 @@ class TestLattice:
         L.validate()
         assert any(s.dim == 0 for s in L.members)
         assert any(s.dim == 3 for s in L.members)
+
+
+def generator_sets(rng):
+    """(generators, unital) pairs: two random elements each of semisimple, digraph and
+    degenerate non-unital algebras, then sets with one generator scaled by 1e-8 or 1e8."""
+
+    def elements(basis, count=2):
+        return [sum(c * b for c, b in zip(rng.standard_normal(len(basis)), basis))
+                for _ in range(count)]
+
+    sets = []
+    for _ in range(3):
+        sets.append((elements(random_semisimple_algebra(rng, max_dim=5)[0].basis), True))
+        n = int(rng.integers(3, 6))
+        S = random_invertible(n, rng, max_cond=20)
+        units = digraph_algebra(random_digraph(n, rng)).basis
+        sets.append(([S @ g @ np.linalg.inv(S) for g in elements(units)], True))
+        literal = block_algebra_basis([(int(rng.integers(1, 3)), 1), (1, 2)], degenerate_dim=2)
+        S = random_invertible(literal.ambient, rng, max_cond=20)
+        sets.append(([S @ g @ np.linalg.inv(S) for g in elements(literal.basis)], False))
+    for scale in (1e-8, 1e8):
+        for gens, unital in sets[:3]:
+            sets.append(([scale * gens[0], *gens[1:]], unital))
+    return sets
+
+
+class TestGeneratorsAct:
+    def test_closure_matches_degree_doubling_reference(self, rng):
+        for gens, unital in generator_sets(rng):
+            A = generate_algebra(gens, unital=unital)
+            # the algebra does not depend on the generators' scales; the reference's
+            # first span cuts relative to the largest, so it gets them normalised
+            want = pairwise_generate_algebra(
+                [g / np.linalg.norm(g) for g in gens], unital=unital
+            )
+            assert A.dim == want.dim
+            assert span_equal(A, want)
+            assert A.unital == want.unital
+            A.validate()
+            F = A.frame()
+            assert np.abs(F.conj().T @ F - np.eye(A.dim)).max() <= 1e-12
+            assert len(A.generators) == len(gens)
+
+    def test_commutant_and_invariance_from_generators(self, rng):
+        used = 0
+        for gens, unital in generator_sets(rng):
+            A = generate_algebra(gens, unital=unital)
+            plain = AlgebraBasis(ambient=A.ambient, basis=A.basis, unital=A.unital)
+            used += 0 < len(A.generators) < A.dim
+            C, want = commutant(A), commutant(plain)
+            assert C.dim == want.dim and span_equal(C, want)
+            subs = sample_invariant_subspaces(A, count=6, seed=1)
+            assert all(invariant(V, plain) for V in subs)
+            others = [random_subspace(A.ambient, k, rng) for k in range(1, A.ambient)]
+            assert [invariant(V, A) for V in others] == [invariant(V, plain) for V in others]
+            V = max(subs, key=lambda V: (V.dim < A.ambient, V.dim))
+            R = restriction_to_invariant(A, V)
+            plain_R = AlgebraBasis(ambient=R.ambient, basis=R.basis, unital=R.unital)
+            assert len(R.generators) == len(gens)
+            assert commutant(R).dim == commutant(plain_R).dim
+        assert used >= 12
+
+    def test_m8_works_from_two_generators(self, monkeypatch):
+        n = 8
+        clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+        shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+        products, rows = [], []
+        wrap_products, wrap_rows = algebra._generator_products, algebra.sylvester_system
+
+        def counting_products(G, N):
+            products.append(len(G) * N.shape[1])
+            return wrap_products(G, N)
+
+        def counting_rows(lefts, rights):
+            S = wrap_rows(lefts, rights)
+            rows.append(S.shape[0])
+            return S
+
+        monkeypatch.setattr(algebra, "_generator_products", counting_products)
+        monkeypatch.setattr(algebra, "sylvester_system", counting_rows)
+        A = generate_algebra([clock, shift], unital=True)
+        assert A.dim == n * n and sum(products) <= 2 * n * n
+        assert commutant(A).dim == 1 and sum(rows) <= 2 * n * n
+
+        svd_calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            svd_calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        A.frame()
+        assert not svd_calls

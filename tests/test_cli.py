@@ -349,8 +349,9 @@ class TestEntryPoints:
               "--decays", "0.5", "--amplification", "2"], "0.50"),
             (["digraph_census.py", "--nodes", "3", "--cb-samples", "5",
               "--amplification", "2"], "3      29          5          5     29"),
+            (["mn_walls.py", "3"], "3"),
         ],
-        ids=["projection_constant_survey", "digraph_census"],
+        ids=["projection_constant_survey", "digraph_census", "mn_walls"],
     )
     def test_scripts_run(self, argv, last_line):
         # both scripts call into the estimate and decision paths; tiny sizes

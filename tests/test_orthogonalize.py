@@ -415,3 +415,21 @@ class TestSimilarityBoundReport:
         K, _ = projection_constant_estimate(A, seed=1)
         report = similarity_bound_report(prof, K)
         assert report.within_bound
+
+
+class TestStackedChecks:
+    def test_self_adjointness_defect_matches_loop(self, rng):
+        for _ in range(6):
+            A, _, _ = random_semisimple_algebra(rng, max_dim=5, allow_degenerate=True)
+            prof = wedderburn_similarity(A)
+            for basis in (list(A.basis), conjugated_basis(A, prof.similarity)):
+                got = orthogonalize._self_adjointness_defect(basis, DEFAULT_TOL)
+                assert got == pytest.approx(adjoint_closure_defect(basis), rel=1e-10, abs=1e-15)
+
+    def test_condition_is_ratio_of_extreme_singular_values(self, rng):
+        for cond in (1.0, 50.0, 1e4):
+            S = random_invertible(5, rng, max_cond=cond) if cond > 1 else np.eye(5)
+            rep = SimilarityReport.from_matrix(S)
+            want = operator_norm(S) * operator_norm(np.linalg.inv(S))
+            assert rep.condition == pytest.approx(want, rel=1e-13)
+            assert np.array_equal(rep.S_inv, np.linalg.inv(S))
