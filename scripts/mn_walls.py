@@ -2,9 +2,10 @@
 
 M_n is given by two generators, the plain clock diag(exp(2 pi i j / n)) and
 the cyclic shift, with no conjugation.  Each n runs in a fresh Python
-process, so each peak resident set is that analysis's alone:
+process with 2 BLAS threads (fewer if fewer CPUs are available), so each peak
+resident set is that analysis's alone:
 
-    PYTHONPATH=src python3 scripts/mn_walls.py 10 12 14 16 --blas-threads 2
+    PYTHONPATH=src python3 scripts/mn_walls.py 10 12 14 16
 """
 
 import argparse
@@ -16,6 +17,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+BLAS_THREADS = 2
 
 CHILD = """
 import contextlib, io, resource, sys, time
@@ -38,10 +41,9 @@ def write_spec(path: Path, n: int) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("sizes", type=int, nargs="+")
-    ap.add_argument("--blas-threads", type=int, default=2)
     args = ap.parse_args()
 
-    threads = str(args.blas_threads)
+    threads = str(min(BLAS_THREADS, len(os.sched_getaffinity(0))))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
            "MKL_NUM_THREADS": threads}
     print(f"{'n':>4} {'seconds':>9} {'peak_MiB':>9}")

@@ -90,10 +90,7 @@ class AlgebraBasis:
         return Subspace.from_spanning(stacked, ambient=self.ambient**2, tol=tol).frame
 
     def in_span(self, M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-        F = self.frame(tol)
-        v = _vec(np.asarray(M, dtype=complex))
-        resid = v - F @ (F.conj().T @ v)
-        return float(np.linalg.norm(resid)) <= tol.eq_eps * max(1.0, float(np.linalg.norm(v)))
+        return _frame_spans(self.frame(tol), np.asarray(M, dtype=complex), tol)
 
     def coordinates(self, M: np.ndarray) -> np.ndarray:
         """Coefficients of ``M`` in this basis (least squares; exact on the span)."""
@@ -113,7 +110,10 @@ class AlgebraBasis:
         return self.in_span(identity(self.ambient), tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        """Check linear independence and multiplicative closure of the span."""
+        """Check linear independence and multiplicative closure of the span, and
+        that the generators lie in it."""
+        if not all(self.in_span(g, tol) for g in self.generators):
+            raise MalformedInputError("a generator lies outside the span")
         if not self.basis:
             return
         B = np.reshape(self.basis, (self.dim, self.ambient, self.ambient))
@@ -124,6 +124,14 @@ class AlgebraBasis:
             raise MalformedInputError("span is not closed under multiplication")
         if self.unital and not self.contains_identity(tol):
             raise MalformedInputError("unital flag set but identity is not in the span")
+
+
+def _frame_spans(F: np.ndarray, M: np.ndarray, tol: Tolerance) -> bool:
+    """Whether M lies, to eq_eps * max(1, ||M||_F), in the span of the orthonormal
+    frame F of vectorised matrices."""
+    v = _vec(M)
+    resid = v - F @ (F.conj().T @ v)
+    return float(np.linalg.norm(resid)) <= tol.eq_eps * max(1.0, float(np.linalg.norm(v)))
 
 
 def span_equal(A: AlgebraBasis, B: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -183,7 +191,11 @@ def generate_algebra(
 ) -> AlgebraBasis:
     """Basis of the smallest subalgebra containing the generators.
 
-    The nonzero generators are divided by the power of two nearest their
+    Generators at roundoff level are dropped: those whose Frobenius norms
+    are at or below rank_eps times the largest norm (counting the
+    identity's, for a unital algebra), and all of them when that largest
+    norm is itself at or below rank_eps, as the rank cut of a spanning set
+    drops them.  The rest are divided by the power of two nearest their
     Frobenius norms (an exact scaling) and kept as the result's
     ``generators``.  The span is closed Krylov-style under left
     multiplication by them, which suffices, as every word is a generator
@@ -210,7 +222,9 @@ def generate_algebra(
     if ambient is not None and n != ambient:
         raise MalformedInputError("generators do not match the requested ambient dimension")
     norms = [float(np.linalg.norm(m)) for m in mats]
-    G = [m / 2.0 ** np.round(np.log2(s)) for m, s in zip(mats, norms) if s > 0]
+    top = max(norms + ([np.sqrt(n)] if unital else []), default=0.0)
+    floor = tol.rank_eps * top if top > tol.rank_eps else np.inf
+    G = [m / 2.0 ** np.round(np.log2(s)) for m, s in zip(mats, norms) if s > floor]
     G = np.reshape(G, (-1, n, n))
     start = np.reshape(([identity(n)] if unital else []) + list(G), (-1, n * n)).T
     F = new = Subspace.from_spanning(start, ambient=n * n, tol=tol).frame
@@ -221,8 +235,8 @@ def generate_algebra(
         new = np.linalg.qr(W - F @ (F.conj().T @ W))[0]
         F = np.hstack([F, new])
 
-    alg = _basis_from_frame(F, n, unital=False)
-    return _basis_from_frame(F, n, unital or alg.contains_identity(tol), tuple(G))
+    unital = unital or _frame_spans(F, identity(n), tol)
+    return _basis_from_frame(F, n, unital, tuple(G))
 
 
 _SYLVESTER_CHUNK = 2**21  # entries (32 MiB) of the Sylvester rows ``commutant`` builds at once

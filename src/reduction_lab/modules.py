@@ -14,6 +14,7 @@ import numpy as np
 from .algebra import (
     AlgebraBasis,
     _basis_from_frame,
+    _frame_spans,
     _generating_stack,
     commutant,
     radical,
@@ -172,7 +173,7 @@ def restriction_to_invariant(
     restricted = (F.conj().T @ np.reshape(A.basis, (-1, n, n)) @ F).reshape(A.dim, V.dim**2)
     frame = Subspace.from_spanning(restricted.T, ambient=V.dim**2, tol=tol).frame
     gens = tuple(F.conj().T @ np.reshape(A.generators, (-1, n, n)) @ F)
-    unital = bool(frame.shape[1]) and _basis_from_frame(frame, V.dim, False).contains_identity(tol)
+    unital = bool(frame.shape[1]) and _frame_spans(frame, identity(V.dim), tol)
     return _basis_from_frame(frame, V.dim, unital, gens)
 
 

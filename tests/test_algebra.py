@@ -568,3 +568,29 @@ class TestGeneratorsAct:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         A.frame()
         assert not svd_calls
+
+    def test_roundoff_generators_are_dropped(self):
+        N = np.array([[0, 1], [0, 0]], dtype=complex)
+        D = np.diag([1.0, 0.0]).astype(complex)
+        cases = [
+            ([1e-12 * D], False, 0),
+            ([np.eye(2), 1e-13 * N], False, 1),
+            ([1e-13 * N], True, 1),
+            ([1e-3 * D, 1e-11 * N], False, 2),
+        ]
+        for gens, unital, dim in cases:
+            A = generate_algebra(gens, unital=unital)
+            want = pairwise_generate_algebra(gens, unital=unital)
+            assert A.dim == want.dim == dim
+            assert span_equal(A, want)
+            A.validate()
+        assert radical(generate_algebra([np.eye(2), 1e-13 * N])).dim == 0
+
+    def test_validate_rejects_generator_outside_span(self):
+        A = generate_algebra([np.diag([1.0, 2.0])], unital=True)
+        A.validate()
+        N = np.array([[0, 1], [0, 0]], dtype=complex)
+        for basis in (A.basis, ()):
+            stray = AlgebraBasis(ambient=2, basis=basis, generators=(N,))
+            with pytest.raises(MalformedInputError, match="generator"):
+                stray.validate()
