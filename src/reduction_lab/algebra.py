@@ -295,8 +295,9 @@ def center_and_minimal_central_idempotents(
     The commutative semisimple centre is split by simultaneous diagonalisation
     of a random centre element; a fresh random element is drawn whenever
     eigenvalue clusters collide (relative gap below 1e-6, see ``eig_clusters``).
-    This is the reference construction; ``wedderburn_similarity`` reads the
-    idempotents off the labelled irreducible pieces of its certificate.
+    This is the reference construction; ``wedderburn_similarity`` forms no
+    idempotents: the inverse of its certificate's pieces laid side by side
+    splits the centre, one block of rows per isotypic block.
     """
     n = A.ambient
     if not A.contains_identity(tol):

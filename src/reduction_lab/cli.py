@@ -115,11 +115,20 @@ def load_algebra_spec(path: str) -> tuple[int, list, bool, Tolerance]:
             raise MalformedInputError("generator has non-finite entries")
         generators.append(M)
     tol_raw = raw.get("tolerance", {})
-    tol = Tolerance(
-        rank_eps=float(tol_raw.get("rank_eps", DEFAULT_TOL.rank_eps)),
-        eq_eps=float(tol_raw.get("eq_eps", DEFAULT_TOL.eq_eps)),
+    if not isinstance(tol_raw, dict):
+        raise MalformedInputError("spec 'tolerance' must be a JSON object")
+    tol = _tolerance(
+        tol_raw.get("rank_eps", DEFAULT_TOL.rank_eps), tol_raw.get("eq_eps", DEFAULT_TOL.eq_eps)
     )
     return dimension, generators, unital, tol
+
+
+def _tolerance(rank_eps, eq_eps) -> Tolerance:
+    """The tolerance policy from raw values, a bad one reported as malformed input."""
+    try:
+        return Tolerance(rank_eps=float(rank_eps), eq_eps=float(eq_eps))
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"bad tolerance: {exc}") from exc
 
 
 def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
@@ -419,9 +428,9 @@ def cmd_selftest(args) -> int:
 
 
 def _override_tol(tol: Tolerance, args) -> Tolerance:
-    return Tolerance(
-        rank_eps=args.rank_tol if args.rank_tol is not None else tol.rank_eps,
-        eq_eps=args.tol if args.tol is not None else tol.eq_eps,
+    return _tolerance(
+        args.rank_tol if args.rank_tol is not None else tol.rank_eps,
+        args.tol if args.tol is not None else tol.eq_eps,
     )
 
 

@@ -224,7 +224,7 @@ def truncated_graph_example(k: int, decay: float) -> AlgebraBasis:
     and the projection constants over the graph submodules grow without
     bound as the truncation sharpens.  The sampled lower bound of
     ``projection_constant_estimate`` does not follow that trend below decay
-    0.1: at k = 4 and seed 42 it is 9.84 at decay 0.1 but 3.62 at 0.05.
+    0.1: at k = 4 and seed 42 it is 9.7295 at decay 0.1 but 5.0377 at 0.05.
     It only sees the submodules it samples, which need not include the ones
     that realise the growth.
     """

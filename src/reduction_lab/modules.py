@@ -113,15 +113,6 @@ class Representation:
                 if operator_norm(lhs - rhs) > tol.eq_eps * scale:
                     raise MalformedInputError("images are not multiplicative on the basis")
 
-    def operator_norm_of_map(self) -> float:
-        """max ||theta(b)|| over a Hilbert-Schmidt-normalised basis (crude scale)."""
-        out = 0.0
-        for b, im in zip(self.source.basis, self.images):
-            nb = float(np.linalg.norm(b))
-            if nb > 0:
-                out = max(out, operator_norm(im) / nb)
-        return out
-
 
 @dataclass(frozen=True)
 class IntertwinerSpace:
@@ -270,14 +261,17 @@ def _intertwiner_systems(A: AlgebraBasis, sources: list, targets: list) -> np.nd
     """The Sylvester systems of T(a|_V) = (a|_W)T in frame coordinates, one per pair
     (V, W) of ``sources`` and ``targets`` (each list of one dimension), stacked.
 
-    Both restricted stacks are divided by the power of two nearest the largest
-    Frobenius norm of the basis, so the rank floor applied to a system does not
-    depend on the basis scale; the division is exact, so a unit-scale basis
-    keeps every bit of its system.
+    The rows come from A's generators when it has fewer of them than basis
+    elements, else from the basis (``_generating_stack``), as an intertwiner
+    of the generators intertwines the whole algebra.  Both restricted stacks
+    are divided by the power of two nearest the largest Frobenius norm in that
+    stack, so the rank floor applied to a system does not depend on the scale
+    of A; the division is exact, so a unit-scale stack keeps every bit of its
+    system.
     """
-    n = A.ambient
-    top = max((float(np.linalg.norm(b)) for b in A.basis), default=1.0) or 1.0
-    B = np.reshape(A.basis, (-1, n, n)) / 2.0 ** np.round(np.log2(top))
+    B = _generating_stack(A)
+    top = float(np.max(np.linalg.norm(B, axis=(-2, -1)), initial=0.0)) or 1.0
+    B = B / 2.0 ** np.round(np.log2(top))
     V, W = (np.array([S.frame for S in group])[:, None] for group in (sources, targets))
     lefts, rights = (F.conj().swapaxes(-1, -2) @ B @ F for F in (W, V))
     p, q = lefts.shape[-1], rights.shape[-1]

@@ -1,13 +1,17 @@
 """Constructive similarities carrying reduction algebras onto self-adjoint algebras.
 
 Dixmier averaging over the finite group generated by commuting idempotents,
-single-projection renorming, matrix-unit orthogonalisation, and the full
-Wedderburn pipeline.  The amenable-group averaging specialises to the finite
-symmetric-difference group, where the invariant mean is the exact uniform
-average; it is taken in closed form, as a sum over the atoms of the family.
+single-projection renorming, matrix-unit orthogonalisation, and the
+Wedderburn similarity.  The amenable-group averaging specialises to the
+finite symmetric-difference group, where the invariant mean is the exact
+uniform average; it is taken in closed form, as a sum over the atoms of the
+family.
 
-The pipeline takes the algebra's structure from its reduction certificate;
-matrix-unit orthogonalisation stays public as the reference construction.
+The Wedderburn similarity takes the algebra's structure from its reduction
+certificate and is one solve (see ``wedderburn_similarity``).  Renorming the
+unit and Dixmier-averaging the central idempotents, the paper's route to it,
+would change it by a unitary factor only, so they stay public as reference
+constructions off that path, with matrix-unit orthogonalisation.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .errors import (
     StructurePreconditionError,
 )
 from .linalg import (
-    Subspace,
     _opnorms,
     as_matrix,
     identity,
@@ -91,7 +94,6 @@ class WedderburnProfile:
     blocks: tuple
     degenerate_dim: int
     similarity: SimilarityReport
-    stage_conditions: tuple = ()
 
     @property
     def ambient(self) -> int:
@@ -296,14 +298,18 @@ def wedderburn_similarity(
 ) -> WedderburnProfile:
     """Similarity carrying a reduction algebra onto a self-adjoint block algebra.
 
-    Pipeline, fed by the reduction certificate's unit and labelled irreducible
-    pieces: renorm the internal unit to split off the annihilated summand;
-    Dixmier-orthogonalise the minimal central idempotents, read off the pieces;
-    then, per isotypic block, lay the pieces side by side as T with b T =
-    T (x kron I_mult) and take (G^1/2 kron H^1/2) T^-1 for the Kronecker fit
-    G kron H of T* T (see ``_kronecker_fit``).  The blocks land on leading
-    coordinates, (dimension, multiplicity) descending, the annihilated summand
-    last.  Stages compose into a single similarity.
+    From the reduction certificate's unit e and labelled irreducible pieces:
+    per isotypic block, lay the pieces side by side as Y_i, each later piece
+    composed with its intertwiner from the first, so that b Y_i =
+    Y_i (x kron I_mult); with K an orthonormal frame of ker e, the similarity
+    is S = diag(G_1^1/2 kron H_1^1/2, ..., G_r^1/2 kron H_r^1/2, I_d) [Y K]^-1
+    for the Kronecker fits G_i kron H_i of Y_i* Y_i (see ``_kronecker_fit``).  The blocks land on
+    leading coordinates, (dimension, multiplicity) descending, the annihilated
+    summand last.  Renorming e first (``renorm_from_projection``) and
+    Dixmier-averaging the central idempotents (``dixmier_orthogonalize``)
+    would give S times a unitary: the renorm is isometric on range e and on
+    ker e, and the Dixmier metric D has D* D = sum p_j* p_j with
+    p_j Y_i = delta_ij Y_i, so neither changes any Y_i* Y_i.
     """
     return _wedderburn_similarity(A, has_reduction_property(A, seed, tol)[1], tol)
 
@@ -311,8 +317,8 @@ def wedderburn_similarity(
 def _wedderburn_similarity(
     A: AlgebraBasis, cert: ReductionCertificate, tol: Tolerance
 ) -> WedderburnProfile:
-    """``wedderburn_similarity`` from the algebra's reduction certificate (no
-    stage draws random numbers)."""
+    """``wedderburn_similarity`` from the algebra's reduction certificate (it
+    draws no random numbers)."""
     n = A.ambient
     if not cert.verdict:
         raise StructurePreconditionError("algebra does not have the reduction property")
@@ -321,35 +327,10 @@ def _wedderburn_similarity(
             blocks=tuple(), degenerate_dim=n, similarity=SimilarityReport.identity(n)
         )
 
-    stage_conditions = []
-    total = identity(n)
-    basis = list(A.basis)
-
-    def push(S_full: np.ndarray, stage: str) -> None:
-        nonlocal total, basis
-        rep = SimilarityReport.from_matrix(S_full)
-        if not np.isfinite(rep.condition):
-            raise NumericalDegeneracyError(f"stage '{stage}' produced a singular similarity")
-        stage_conditions.append(rep.condition)
-        total = S_full @ total
-        basis = [rep.conjugate(b) for b in basis]
-
-    # stage 1: orthogonalise the internal unit against the annihilated summand
     e = cert.unit
     if operator_norm(e @ e - e) > tol.eq_eps * max(1.0, operator_norm(e)) ** 2:
         raise NumericalDegeneracyError("stage 'degenerate-split': unit is not idempotent")
-    push(renorm_from_projection(e, tol).S, "degenerate-split")
-    e = total @ e @ np.linalg.inv(total)
-    rank_e, range_e = rank_and_range((e + e.conj().T) / 2, tol)
-    degenerate_dim = n - rank_e
-    if rank_e == 0:
-        return WedderburnProfile(
-            blocks=tuple(),
-            degenerate_dim=n,
-            similarity=SimilarityReport.from_matrix(total),
-            stage_conditions=tuple(stage_conditions),
-        )
-    F0 = range_e.frame
+    K = rank_and_range(identity(n) - e, tol)[1].frame
 
     # per isotypic block, the pieces side by side, each later one composed
     # with its intertwiner from the first (Hom is one-dimensional by Schur)
@@ -369,45 +350,34 @@ def _wedderburn_similarity(
             cols.append(q.frame @ tw.basis[0])
         groups.append((group[0].dim, len(group), np.stack(cols, axis=2).reshape(n, -1)))
     groups.sort(key=lambda g: (-g[0], -g[1]))
-    blocks = [(k, mult) for k, mult, _ in groups]
-    Y = np.hstack([y for _, _, y in groups])
-    owner = np.repeat(np.arange(len(groups)), [k * mult for k, mult in blocks])
 
-    # stage 2: Dixmier-average the minimal central idempotents; in F0
-    # coordinates the idempotent of block i is X diag(owner == i) X^-1
-    X = F0.conj().T @ total @ Y
-    X_inv = np.linalg.inv(X)
-    idems = [X[:, owner == i] @ X_inv[owner == i] for i in range(len(groups))]
+    # [Y K]^-1 alone carries block i onto x kron I_mult on its coordinates
+    # and the annihilated summand onto the last ones; G^1/2 kron H^1/2 on the
+    # block's rows keeps that layout and brings the condition down, for the
+    # Kronecker fit G kron H of the block's Gram matrix Y_i* Y_i
     try:
-        S1 = dixmier_orthogonalize(idems, tol).S
-    except StructurePreconditionError as exc:
-        raise NumericalDegeneracyError(f"stage 'central-split': {exc}") from exc
-    push(identity(n) + F0 @ (S1 - identity(rank_e)) @ F0.conj().T, "central-split")
-
-    # stage 3: block i is T (x kron I_mult) T^-1 for its columns T, so
-    # (G^1/2 kron H^1/2) T^-1 carries it onto x' kron I_mult, for the
-    # Kronecker fit G kron H of T* T; the blocks land on leading coordinates
-    # and the annihilated summand last
-    T = F0.conj().T @ total @ Y
-    T_inv = np.linalg.inv(T)
-    rows = []
-    for i, (k, mult) in enumerate(blocks):
-        G, H = _kronecker_fit(T[:, owner == i].conj().T @ T[:, owner == i], k, mult)
+        S = np.linalg.inv(np.hstack([y for _, _, y in groups] + [K]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDegeneracyError(
+            "stage 'block-similarity': the pieces and the kernel of the unit are not a basis"
+        ) from exc
+    at = 0
+    for k, mult, y in groups:
+        G, H = _kronecker_fit(y.conj().T @ y, k, mult)
         root = np.kron(matrix_sqrt_positive(G, tol), matrix_sqrt_positive(H, tol))
-        rows.append(root @ T_inv[owner == i] @ F0.conj().T)
-    rows.append(Subspace.from_frame(F0).perp().frame.conj().T)
-    push(np.vstack(rows), "block-similarity")
+        S[at : at + k * mult] = root @ S[at : at + k * mult]
+        at += k * mult
 
-    defect = _self_adjointness_defect(basis, tol)
+    similarity = SimilarityReport.from_matrix(S)
+    defect = _self_adjointness_defect([similarity.conjugate(b) for b in A.basis], tol)
     if defect > 1e-7:
         raise NumericalDegeneracyError(
             f"stage 'final-check': conjugated span is not *-closed (defect {defect:.2e})"
         )
     return WedderburnProfile(
-        blocks=tuple(blocks),
-        degenerate_dim=degenerate_dim,
-        similarity=SimilarityReport.from_matrix(total),
-        stage_conditions=tuple(stage_conditions),
+        blocks=tuple((k, mult) for k, mult, _ in groups),
+        degenerate_dim=K.shape[1],
+        similarity=similarity,
     )
 
 

@@ -24,8 +24,8 @@ class Tolerance:
     eq_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (self.rank_eps > 0 and self.eq_eps > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (self.rank_eps > 0 and 0 < self.eq_eps < float("inf")):
+            raise ValueError("tolerances must be finite and strictly positive")
         if not self.rank_eps < 1:
             raise ValueError("rank_eps must be < 1")
 

@@ -141,6 +141,29 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["radical_dimension"] == 1
 
+    @pytest.mark.parametrize(
+        "tolerance",
+        [{"eq_eps": 0}, 5, {"rank_eps": "tight"}, {"eq_eps": [1e-8]}, {"rank_eps": None}],
+        ids=["zero", "not-an-object", "string", "list", "null"],
+    )
+    def test_bad_tolerance_in_spec_file_exit_one(self, capsys, tmp_path, tolerance):
+        path = tmp_path / "bad-tol.json"
+        path.write_text(json.dumps(
+            {"dimension": 2, "generators": [], "unital": True, "tolerance": tolerance}
+        ))
+        code, _, err = run(capsys, ["analyze", str(path)])
+        assert code == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "-1"], ["--rank-tol", "2"], ["--tol", "nan"], ["--tol", "inf"], ["--rank-tol", "0"]],
+        ids=["negative", "rank-above-one", "nan", "inf", "rank-zero"],
+    )
+    def test_bad_tolerance_flag_exit_one(self, capsys, m2_spec, flags):
+        for argv in (["analyze", str(m2_spec)], ["gallery", "a_lambda"], ["selftest", "--quick"]):
+            code, _, err = run(capsys, [*argv, *flags])
+            assert code == 1 and err.startswith("error: bad tolerance")
+
 
 def record_calls(monkeypatch, fn, first_args):
     """Append the first argument of every call of ``fn`` to ``first_args``.
@@ -229,7 +252,7 @@ class TestGallery:
         assert report["wedderburn_profile"] == [[3, 2]]
 
     @pytest.mark.parametrize(
-        "k, decay", [(4, 0.5), (4, 0.2), (4, 0.1), (4, 0.02), (4, 0.01), (6, 0.1)]
+        "k, decay", [(4, 0.5), (4, 0.2), (4, 0.1), (4, 0.02), (4, 0.01), (4, 0.005), (6, 0.1)]
     )
     def test_graph_truncation_condition(self, capsys, k, decay):
         # the condition of S = diag(T^1/2, decay^((k+1)/2) T^-1/2), which
@@ -257,6 +280,14 @@ class TestGallery:
         assert proc.returncode == 0, proc.stderr
         condition = json.loads(proc.stdout)["similarity_condition"]
         assert condition == pytest.approx(0.02**-1.5, rel=1e-6)
+
+    def test_graph_truncation_breakdown_names_stage(self, capsys):
+        # past the reach at k = 4 (decay 0.005) the final *-closure check fails
+        code, out, err = run(
+            capsys, ["gallery", "graph_truncation", "--k", "4", "--decay", "0.002", "--quick"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: stage 'final-check'")
 
     def test_csl_masks(self, capsys):
         code, out, _ = run(capsys, ["gallery", "csl", "--masks", "10,01"])

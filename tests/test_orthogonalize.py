@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,14 @@ from reduction_lab.errors import (
     StructurePreconditionError,
 )
 from reduction_lab.gallery import a_lambda, truncated_graph_example
-from reduction_lab.linalg import is_idempotent, matrix_sqrt_positive, operator_norm
-from reduction_lab.modules import Representation
+from reduction_lab.linalg import (
+    Subspace,
+    is_idempotent,
+    matrix_sqrt_positive,
+    operator_norm,
+    rank_and_range,
+)
+from reduction_lab.modules import Representation, has_reduction_property, intertwiners
 from reduction_lab.orthogonalize import (
     SimilarityReport,
     _kronecker_fit,
@@ -45,6 +53,43 @@ def adjoint_closure_defect(basis):
         resid = v - F @ (F.conj().T @ v)
         worst = max(worst, float(np.linalg.norm(resid) / max(1.0, np.linalg.norm(v))))
     return worst
+
+
+def staged_similarity(A, cert):
+    """The similarity as three composed stages, from the public constructions:
+    renorm the unit, Dixmier-average the central idempotents, then fit each
+    block.  Returns (S, blocks, degenerate dimension)."""
+    n = A.ambient
+    R = renorm_from_projection(cert.unit).S
+    e = R @ cert.unit @ np.linalg.inv(R)
+    rank_e, range_e = rank_and_range((e + e.conj().T) / 2)
+    F0 = range_e.frame
+    groups = []
+    for c in sorted({lab for _, lab in cert.pieces}):
+        group = [p for p, lab in cert.pieces if lab == c]
+        cols = [group[0].frame]
+        for q in group[1:]:
+            cols.append(q.frame @ intertwiners(group[0], q, A).basis[0])
+        groups.append((group[0].dim, len(group), np.stack(cols, axis=2).reshape(n, -1)))
+    groups.sort(key=lambda g: (-g[0], -g[1]))
+    blocks = tuple((k, mult) for k, mult, _ in groups)
+    Y = np.hstack([y for _, _, y in groups])
+    owner = np.repeat(np.arange(len(groups)), [k * mult for k, mult in blocks])
+
+    X = F0.conj().T @ R @ Y
+    X_inv = np.linalg.inv(X)
+    idems = [X[:, owner == i] @ X_inv[owner == i] for i in range(len(groups))]
+    D = np.eye(n) + F0 @ (dixmier_orthogonalize(idems).S - np.eye(rank_e)) @ F0.conj().T
+
+    T = F0.conj().T @ D @ R @ Y
+    T_inv = np.linalg.inv(T)
+    rows = []
+    for i, (k, mult) in enumerate(blocks):
+        G, H = _kronecker_fit(T[:, owner == i].conj().T @ T[:, owner == i], k, mult)
+        root = np.kron(matrix_sqrt_positive(G), matrix_sqrt_positive(H))
+        rows.append(root @ T_inv[owner == i] @ F0.conj().T)
+    rows.append(Subspace.from_frame(F0).perp().frame.conj().T)
+    return np.vstack(rows) @ D @ R, blocks, n - rank_e
 
 
 class TestDixmier:
@@ -332,11 +377,42 @@ class TestWedderburnSimilarity:
         assert p1.blocks == p2.blocks == blocks
         assert p1.degenerate_dim == p2.degenerate_dim == degenerate
 
-    def test_condition_within_stage_product(self, rng):
-        for _ in range(5):
-            A, _, _ = random_semisimple_algebra(rng, max_dim=6, allow_degenerate=True)
-            prof = wedderburn_similarity(A, seed=7)
-            assert prof.similarity.condition <= np.prod(prof.stage_conditions) + 1e-6
+    def test_one_solve_matches_staged_pipeline(self, rng):
+        # the renorm, Dixmier and block-fit stages compose to the one-solve
+        # similarity times a unitary: same condition, profile and layout
+        with_degenerate = 0
+        for _ in range(60):
+            A, blocks, degenerate = random_semisimple_algebra(rng, max_dim=6, allow_degenerate=True)
+            with_degenerate += degenerate > 0
+            cert = has_reduction_property(A, seed=7)[1]
+            prof = orthogonalize._wedderburn_similarity(A, cert, DEFAULT_TOL)
+            S, staged_blocks, staged_degenerate = staged_similarity(A, cert)
+            staged = SimilarityReport.from_matrix(S)
+            assert prof.similarity.condition == pytest.approx(staged.condition, rel=1e-12)
+            assert prof.blocks == staged_blocks == blocks
+            assert prof.degenerate_dim == staged_degenerate == degenerate
+            n = A.ambient
+            literal = AlgebraBasis(
+                ambient=n, basis=list(block_algebra_basis(blocks, degenerate).basis), unital=False
+            )
+            for rep in (prof.similarity, staged):
+                conj = AlgebraBasis(ambient=n, basis=conjugated_basis(A, rep), unital=False)
+                assert span_equal(conj, literal)
+        assert with_degenerate >= 10
+
+    @pytest.mark.parametrize("fault", ["unit-swapped", "piece-dropped"])
+    def test_pieces_and_kernel_not_a_basis_raise(self, fault):
+        # one piece kept: with the unit swapped for 1 - e, the kernel frame K
+        # contains that piece and [Y K] is square but singular; with the
+        # unit kept, [Y K] is not square
+        A = block_algebra_basis([(1, 1), (1, 1)], degenerate_dim=1)
+        cert = has_reduction_property(A)[1]
+        if fault == "unit-swapped":
+            cert = replace(cert, unit=np.eye(3) - cert.unit, pieces=cert.pieces[:1])
+        else:
+            cert = replace(cert, pieces=cert.pieces[:1])
+        with pytest.raises(NumericalDegeneracyError, match="stage 'block-similarity'"):
+            orthogonalize._wedderburn_similarity(A, cert, DEFAULT_TOL)
 
     def test_non_reduction_rejected(self):
         A = generate_algebra(
