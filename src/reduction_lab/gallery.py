@@ -216,15 +216,15 @@ def truncated_graph_example(k: int, decay: float) -> AlgebraBasis:
     S = diag(T^1/2, decay^((k+1)/2) T^-1/2) carries it onto {diag(b, b)}
     with condition decay^(-(k-1)/2), and that is the similarity condition the
     Wedderburn pipeline reports (its optimality is conjectured, not proven).
-    The basis norms run from 1 to decay^-(k-1); at k = 4 the radical, the
-    verdict and the similarity hold down to decay 0.005, and at 0.002 the
-    pipeline's final *-closure check fails.
+    The basis norms run from 1 to decay^-(k-1); at k = 4 and seed 42 the
+    radical, the verdict and the similarity hold down to decay 0.005, and at
+    0.002 the pipeline's final *-closure check fails.
 
     Shrinking the decay drives the smallest singular value of T toward zero,
     and the projection constants over the graph submodules grow without
     bound as the truncation sharpens.  The sampled lower bound of
     ``projection_constant_estimate`` does not follow that trend below decay
-    0.1: at k = 4 and seed 42 it is 9.7295 at decay 0.1 but 5.0377 at 0.05.
+    0.1: at k = 4 and seed 42 it is 10.6952 at decay 0.1 but 5.8388 at 0.05.
     It only sees the submodules it samples, which need not include the ones
     that realise the growth.
     """

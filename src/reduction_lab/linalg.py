@@ -295,17 +295,25 @@ def solve_consistent(M, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
 
 
 def eig_clusters(evals: np.ndarray, rel_gap: float = 1e-6) -> list[list[int]]:
-    """Indices of ``evals`` in (real, imag) order, cut into clusters wherever
-    neighbours differ by more than ``rel_gap`` times max(1, largest modulus)."""
+    """Indices of ``evals`` grouped by single linkage: two eigenvalues share a
+    cluster when a chain of them, each within ``rel_gap`` times max(1, largest
+    modulus) of the next, joins them.  Members and clusters come in (real, imag)
+    order of the eigenvalues, clusters by their first members.  All pairs are
+    linked, not only neighbours in that order: a real matrix's copies of a + bi
+    sit between its copies of a - bi there."""
     order = np.lexsort((evals.imag, evals.real))
     scale = max(1.0, float(np.max(np.abs(evals)))) if evals.size else 1.0
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and abs(evals[idx] - evals[clusters[-1][-1]]) <= rel_gap * scale:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return clusters
+    e = evals[order]
+    near = np.abs(e[:, None] - e[None]) <= rel_gap * scale
+    # each position takes the least position it links to, until nothing moves:
+    # then every cluster carries the position of its first member
+    root = np.arange(len(e))
+    while True:
+        least = np.min(np.where(near, root[None], len(e)), axis=1, initial=len(e))
+        if np.array_equal(least, root):
+            break
+        root = least
+    return [order[root == r].tolist() for r in np.unique(root)]
 
 
 # Path following in ``least_psd_shift``: the barrier weight s grows by _BARRIER_GROWTH at

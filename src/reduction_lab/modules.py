@@ -189,12 +189,14 @@ def irreducible_decomposition(
 ) -> list[tuple[Subspace, int]]:
     """Direct-sum decomposition of C^n into irreducible submodules with class labels.
 
-    Splits along eigenspaces of random commutant elements and recurses; a
-    1-dimensional piece is irreducible and is not split further.  Distinct
-    irreducibles receive the same label exactly when a nonzero intertwiner
-    exists between them: each unlabelled piece in turn is tested against every
-    later unlabelled piece of its dimension at once (see ``_intertwined``).
-    The output order is deterministic.
+    For a semisimple A the eigenspaces of a generic element z of the commutant
+    are irreducible submodules (Murota, Kanno, Kojima & Kojima, Japan J. Indust.
+    Appl. Math. 27, 2010).  Each draw takes z at random in the commutant and
+    spans each of its eigenvalue clusters once; the draw is kept when every
+    piece has its cluster's dimension, is invariant and is irreducible, and is
+    made again otherwise, at most ``max_retries`` times.  The pieces are
+    sorted by ``canonical_key`` and labelled by ``_class_labels``, which also
+    certifies that they are irreducible.  The output order is deterministic.
     """
     n = A.ambient
     if radical(A, tol).dim != 0:
@@ -206,55 +208,49 @@ def irreducible_decomposition(
         raise StructurePreconditionError(
             "algebra acts degenerately; strip the annihilated complement first"
         )
+    C = commutant(A, tol)
     rng = np.random.default_rng(seed)
+    for _ in range(max_retries):
+        evals, vecs = np.linalg.eig(C.combine(rng.standard_normal(C.dim)))
+        clusters = eig_clusters(evals)
+        pieces = [Subspace.from_spanning(vecs[:, cl], ambient=n, tol=tol) for cl in clusters]
+        if any(p.dim != len(cl) or not invariant(p, A, tol) for p, cl in zip(pieces, clusters)):
+            continue
+        pieces.sort(key=lambda s: s.canonical_key())
+        labels = _class_labels(pieces, A, tol)
+        if labels is not None:
+            return list(zip(pieces, labels))
+    raise NumericalDegeneracyError("random commutant splitter failed repeatedly")
 
-    def split(V: Subspace) -> list[Subspace]:
-        if V.dim == 1:
-            return [V]
-        R = restriction_to_invariant(A, V, tol)
-        C = commutant(R, tol)
-        if C.dim == 1:
-            return [V]
-        for _ in range(max_retries):
-            z = C.combine(rng.standard_normal(C.dim))
-            evals, vecs = np.linalg.eig(z)
-            clusters = eig_clusters(evals)
-            if len(clusters) < 2:
-                continue
-            pieces = []
-            ok = True
-            for cl in clusters:
-                local = Subspace.from_spanning(vecs[:, cl], ambient=V.dim, tol=tol)
-                lifted = Subspace.from_spanning(
-                    V.frame @ local.frame, ambient=n, tol=tol
-                )
-                if local.dim != len(cl) or not invariant(lifted, A, tol):
-                    ok = False
-                    break
-                pieces.append(lifted)
-            if ok and sum(p.dim for p in pieces) == V.dim:
-                out = []
-                for p in pieces:
-                    out.extend(split(p))
-                return out
-        raise NumericalDegeneracyError("random commutant splitter failed repeatedly")
 
-    pieces = split(Subspace.full(n))
-    pieces.sort(key=lambda s: s.canonical_key())
+def _class_labels(pieces: list, A: AlgebraBasis, tol: Tolerance) -> list | None:
+    """Class labels of the invariant ``pieces`` of a semisimple A, in order, or None
+    when one of them is not irreducible.
 
+    Each unlabelled piece V in turn gets one stacked ``_intertwiner_systems``
+    call: V's own system, then V against every later unlabelled piece W of its
+    dimension, ranked by one stacked QR (with no Q, when the systems are tall)
+    and one stacked SVD.  dim End(V) = 1 certifies V irreducible (Schur; A is
+    semisimple), and a W with Hom(V, W) != 0 is then a copy of V.
+    """
     labels = [-1] * len(pieces)
-    next_label = 0
-    for i, p in enumerate(pieces):
+    classes = 0
+    for i, V in enumerate(pieces):
         if labels[i] >= 0:
             continue
-        labels[i] = next_label
-        rest = [j for j in range(i + 1, len(pieces)) if labels[j] < 0 and pieces[j].dim == p.dim]
-        if rest:
-            for j, linked in zip(rest, _intertwined(p, [pieces[j] for j in rest], A, tol)):
-                if linked:
-                    labels[j] = next_label
-        next_label += 1
-    return list(zip(pieces, labels))
+        rest = [j for j in range(i + 1, len(pieces)) if labels[j] < 0 and pieces[j].dim == V.dim]
+        S = _intertwiner_systems(A, [V] * (1 + len(rest)), [V] + [pieces[j] for j in rest])
+        if S.shape[1] > S.shape[2]:
+            S = np.linalg.qr(S, mode="r")
+        homs = [V.dim**2 - _rank(s, tol) for s in np.linalg.svd(S, compute_uv=False)]
+        if homs[0] != 1:
+            return None
+        labels[i] = classes
+        for j, h in zip(rest, homs[1:]):
+            if h:
+                labels[j] = classes
+        classes += 1
+    return labels
 
 
 def _intertwiner_systems(A: AlgebraBasis, sources: list, targets: list) -> np.ndarray:
@@ -277,18 +273,6 @@ def _intertwiner_systems(A: AlgebraBasis, sources: list, targets: list) -> np.nd
     p, q = lefts.shape[-1], rights.shape[-1]
     S = sylvester_system(lefts.reshape(-1, p, p), rights.reshape(-1, q, q))
     return S.reshape(len(sources), -1, p * q)
-
-
-def _intertwined(V: Subspace, targets: list, A: AlgebraBasis, tol: Tolerance) -> list:
-    """Whether a nonzero intertwiner maps the invariant V to each of the invariant
-    ``targets`` (all of V's dimension d): ``intertwiners(V, W).dim > 0`` for every
-    W at once, by one stacked QR (with no Q, when the systems are tall) and one
-    stacked SVD of the systems ``intertwiners`` builds.
-    """
-    S = _intertwiner_systems(A, [V] * len(targets), targets)
-    if S.shape[1] > S.shape[2]:
-        S = np.linalg.qr(S, mode="r")
-    return [_rank(s, tol) < V.dim**2 for s in np.linalg.svd(S, compute_uv=False)]
 
 
 def intertwiners(
@@ -561,12 +545,13 @@ def _projection_constant_estimate(
     tol: Tolerance,
 ) -> tuple[float, list]:
     """``projection_constant_estimate`` at amplification 1, given the reduction
-    certificate and the commutant ``comm`` of A.  A union of pieces is one span
-    of their stacked frames, and a candidate is dropped when it equals an earlier
-    one (``Subspace.equals_any``: one stacked test against those of its
-    dimension).  One ``_min_norm_module_projections`` pass solves every
-    candidate, to a barrier gap <= 1e-11 relative at exit; still reported
-    uncertified because no dual value is reported.
+    certificate and the commutant ``comm`` of A.  Pieces, isotypic sums and random
+    unions are all unions of pieces, each known by the set of pieces it joins, and
+    a set joined before is skipped; a union of several pieces is one span of their
+    stacked frames.  The whole space is skipped when it is the union of all
+    pieces, or the kernel of a zero unit.  One ``_min_norm_module_projections``
+    pass solves every candidate, to a barrier gap <= 1e-11 relative at exit;
+    still reported uncertified because no dual value is reported.
     """
     if not cert.verdict:
         raise StructurePreconditionError("projection constants need the reduction property")
@@ -574,24 +559,30 @@ def _projection_constant_estimate(
     rng = np.random.default_rng(seed)
 
     candidates: list[Subspace] = []
+    joined: set[tuple] = set()
 
     def add(s: Subspace) -> None:
-        if s.dim and invariant(s, A, tol) and not s.equals_any(candidates, tol):
+        if s.dim and invariant(s, A, tol):
             candidates.append(s)
 
-    def union(group: list) -> Subspace:
-        return Subspace.from_spanning(np.hstack([p.frame for p in group]), ambient=n, tol=tol)
+    def union(members: tuple) -> None:
+        if members in joined:
+            return
+        joined.add(members)
+        group = [cert.pieces[k][0] for k in members]
+        frames = np.hstack([p.frame for p in group])
+        add(group[0] if len(group) == 1 else Subspace.from_spanning(frames, ambient=n, tol=tol))
 
-    for p, _ in cert.pieces:
-        add(p)
-    by_label: dict[int, list[Subspace]] = {}
-    for p, lab in cert.pieces:
-        by_label.setdefault(lab, []).append(p)
-    for group in by_label.values():
-        if len(group) > 1:
-            add(union(group))
+    for k in range(len(cert.pieces)):
+        union((k,))
+    by_label: dict[int, list[int]] = {}
+    for k, (_, lab) in enumerate(cert.pieces):
+        by_label.setdefault(lab, []).append(k)
+    for members in by_label.values():
+        union(tuple(members))
     # graph subspaces between isomorphic pieces
-    for group in by_label.values():
+    for members in by_label.values():
+        group = [cert.pieces[k][0] for k in members]
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 tw = intertwiners(group[i], group[j], A, tol)
@@ -607,20 +598,17 @@ def _projection_constant_estimate(
         # of the internal unit, which is skew against its range in general
         _, ker_e = rank_and_range(identity(n) - cert.unit, tol)
         add(ker_e)
-    # random unions of pieces (bounded number of draws; a mask drawn before
-    # gives the same union, so it is skipped before the union is built)
+    # random unions of pieces (a bounded number of draws)
     if len(cert.pieces) > 1:
-        drawn = set()
         for _ in range(2 * samples):
             if len(candidates) >= samples:
                 break
             mask = rng.integers(0, 2, size=len(cert.pieces))
-            key = mask.tobytes()
-            if not mask.any() or key in drawn:
-                continue
-            drawn.add(key)
-            add(union([p for flag, (p, _) in zip(mask, cert.pieces) if flag]))
-    add(Subspace.full(n))
+            if mask.any():
+                union(tuple(np.flatnonzero(mask).tolist()))
+    everything = tuple(range(len(cert.pieces)))
+    if not (cert.degenerate_dim == n or (not cert.degenerate_dim and everything in joined)):
+        add(Subspace.full(n))
 
     candidates = candidates[: max(samples, 1)]
     norms = _opnorms(_min_norm_module_projections(candidates, A, comm, tol)).tolist()

@@ -123,6 +123,17 @@ class TestAnalyze:
         r1.pop("timing_seconds"), r2.pop("timing_seconds")
         assert r1 == r2
 
+    def test_real_m3_tensor_i5_splits(self, capsys, tmp_path):
+        # a real algebra: the random commutant element has complex conjugate
+        # eigenvalues of multiplicity five, which must cluster as such
+        path = tmp_path / "m3xi5.json"
+        shift = np.roll(np.eye(3), 1, axis=0)
+        gens = [np.kron(np.diag([1.0, 2.0, 3.0]), np.eye(5)), np.kron(shift, np.eye(5))]
+        write_spec(path, 15, gens, unital=True)
+        code, out, err = run(capsys, ["analyze", str(path), "--seed", "4"])
+        assert code == 0, err
+        assert json.loads(out)["wedderburn_profile"] == [[3, 5]]
+
     def test_text_format(self, capsys, m2_spec):
         code, out, _ = run(capsys, ["analyze", str(m2_spec), "--format", "text"])
         assert code == 0

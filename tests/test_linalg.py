@@ -15,6 +15,7 @@ from reduction_lab.errors import (
 )
 from reduction_lab.linalg import (
     Subspace,
+    eig_clusters,
     least_psd_shift,
     matrix_sqrt_positive,
     null_space,
@@ -371,6 +372,18 @@ class TestNullSpaceKernel:
         assert S.shape == (k * p * q, p * q)
         want = np.concatenate([(X @ r - l @ X).reshape(-1) for l, r in zip(L, R)])
         assert np.allclose(S @ X.reshape(-1), want)
+
+
+class TestEigClusters:
+    def test_conjugate_pairs_of_a_repeated_eigenvalue(self):
+        # in (real, imag) order the copies of 1 + 2i sit between those of 1 - 2i
+        evals = np.array([1 + 2j + 1e-15, 1 - 2j + 1e-15, 1 + 2j - 1e-15, 1 - 2j - 1e-15])
+        assert eig_clusters(evals) == [[3, 1], [2, 0]]
+
+    def test_groups_and_order_of_neighbour_chains(self):
+        evals = np.array([3.0, 1.0, 2.0, 1.0 + 1e-10, 3.0, 1.0 + 2e-10])
+        assert eig_clusters(evals) == [[1, 3, 5], [2], [0, 4]]
+        assert eig_clusters(np.zeros(0, dtype=complex)) == []
 
 
 class TestLeastPsdShift:

@@ -762,36 +762,90 @@ class TestBatchedSummandLoops:
                 else:
                     assert a != b
 
-    @pytest.mark.parametrize("blocks", [[(2, 4)], [(1, 5)]], ids=["M2 x I4", "C x I5"])
-    def test_labels_stack_one_system_per_unlabelled_piece(self, monkeypatch, blocks):
-        # m isomorphic copies cost the m - 1 systems of the per-pair loop, not
-        # all m(m - 1)/2 pairs, in one stacked call
-        rows = []
+    @pytest.mark.parametrize(
+        "make, labels, systems",
+        [
+            (
+                lambda: generate_algebra([np.diag([1.0, 2.0, 3.0]).astype(complex)], unital=True),
+                [0, 1, 2],
+                [3, 2, 1],
+            ),
+            (lambda: block_algebra_basis([(2, 4)]), [0] * 4, [4]),
+            (lambda: block_algebra_basis([(1, 5)]), [0] * 5, [5]),
+        ],
+        ids=["C^3", "M2 x I4", "C x I5"],
+    )
+    def test_one_commutant_one_call_per_class(self, monkeypatch, make, labels, systems):
+        # one commutant of the algebra given, no restriction, and per class one
+        # stacked call: its representative's own system, then one per later
+        # unlabelled piece of its dimension, so m copies take m systems
+        commutants, restrictions, rows = [], [], []
+        comm, restrict = modules.commutant, modules.restriction_to_invariant
         build = modules._intertwiner_systems
 
-        def counting(A, sources, targets):
+        def counting_commutant(A, tol=DEFAULT_TOL):
+            commutants.append(A)
+            return comm(A, tol)
+
+        def counting_restriction(A, V, tol=DEFAULT_TOL):
+            restrictions.append(V)
+            return restrict(A, V, tol)
+
+        def counting_systems(A, sources, targets):
             rows.append(len(sources))
             return build(A, sources, targets)
 
-        monkeypatch.setattr(modules, "_intertwiner_systems", counting)
-        m = blocks[0][1]
-        dec = irreducible_decomposition(block_algebra_basis(blocks))
-        assert [label for _, label in dec] == [0] * m
-        assert rows == [m - 1]
+        monkeypatch.setattr(modules, "commutant", counting_commutant)
+        monkeypatch.setattr(modules, "restriction_to_invariant", counting_restriction)
+        monkeypatch.setattr(modules, "_intertwiner_systems", counting_systems)
+        A = make()
+        dec = irreducible_decomposition(A)
+        assert [label for _, label in dec] == labels
+        assert commutants == [A] and restrictions == []
+        assert rows == systems
 
-    def test_one_dimensional_pieces_are_not_split(self, monkeypatch):
-        # C^3: one restriction and one commutant for the whole space, none per line
-        calls = []
-        restrict = modules.restriction_to_invariant
+    def test_merged_draw_is_drawn_again(self, monkeypatch):
+        # a draw whose clusters merge gives a reducible piece: the first draw is
+        # refused and the second kept; a splitter that always merges gives up
+        draws = []
+        clusters_of = modules.eig_clusters
 
-        def counting(A, V, tol=DEFAULT_TOL):
-            calls.append(V.dim)
-            return restrict(A, V, tol)
+        def merging(first_only):
+            def clusters(evals, *args):
+                draws.append(1)
+                got = clusters_of(evals, *args)
+                return [sum(got, [])] if len(draws) == 1 or not first_only else got
 
-        monkeypatch.setattr(modules, "restriction_to_invariant", counting)
-        A = generate_algebra([np.diag([1.0, 2.0, 3.0]).astype(complex)], unital=True)
-        assert [s.dim for s, _ in irreducible_decomposition(A)] == [1, 1, 1]
-        assert calls == [3]
+            return clusters
+
+        A = block_algebra_basis([(2, 1), (1, 2)])
+        monkeypatch.setattr(modules, "eig_clusters", merging(first_only=True))
+        dec = irreducible_decomposition(A)
+        assert len(draws) == 2
+        assert [(p.dim, lab) for p, lab in dec] == [(1, 0), (1, 0), (2, 1)]
+        monkeypatch.setattr(modules, "eig_clusters", merging(first_only=False))
+        with pytest.raises(NumericalDegeneracyError):
+            irreducible_decomposition(A)
+
+    def test_isotypic_components_do_not_depend_on_the_seed(self):
+        # the pieces of a multiplicity block follow the draw, but each class's
+        # sum of pieces is the algebra's isotypic component
+        rng, tested = np.random.default_rng(5), 0
+        while tested < 20:
+            A, blocks, _ = random_semisimple_algebra(rng, max_dim=6)
+            if all(m == 1 for _, m in blocks):
+                continue
+            components = []
+            for seed in (1, 2):
+                by_label = {}
+                for p, lab in irreducible_decomposition(A, seed=seed):
+                    by_label.setdefault(lab, []).append(p.frame)
+                components.append([Subspace.from_spanning(np.hstack(f)) for f in by_label.values()])
+            first, second = components
+            assert len(first) == len(second) == len(blocks)
+            for U in first:
+                assert sum(U.equals(W) for W in second) == 1
+            tested += 1
 
     @pytest.mark.parametrize(
         "make",
