@@ -20,14 +20,12 @@ import numpy as np
 
 from .errors import (
     MalformedInputError,
-    NumericalDegeneracyError,
     StructurePreconditionError,
 )
 from .linalg import (
     Subspace,
     _left_factor,
     as_matrix,
-    eig_clusters,
     identity,
     null_space,
     operator_norm,
@@ -288,76 +286,30 @@ def center_and_minimal_central_idempotents(
     A: AlgebraBasis,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    max_retries: int = 40,
 ) -> tuple[AlgebraBasis, list[np.ndarray]]:
     """Centre of a unital semisimple algebra and its minimal central idempotents.
 
-    The commutative semisimple centre is split by simultaneous diagonalisation
-    of a random centre element; a fresh random element is drawn whenever
-    eigenvalue clusters collide (relative gap below 1e-6, see ``eig_clusters``).
-    This is the reference construction; ``wedderburn_similarity`` forms no
-    idempotents: the inverse of its certificate's pieces laid side by side
-    splits the centre, one block of rows per isotypic block.
+    Read from the reduction certificate (``has_reduction_property``): with Y
+    its irreducible pieces side by side, a basis of C^n as A holds I, the
+    idempotent of class c is p_c = Y_c (Y^-1)_c over the columns Y_c of that
+    class's pieces and the matching rows of Y^-1, the projection onto the
+    isotypic component along the others.  The centre is their span.
     """
+    from .modules import has_reduction_property
+
     n = A.ambient
     if not A.contains_identity(tol):
         raise StructurePreconditionError("central idempotents need a unital algebra")
-    if radical(A, tol).dim != 0:
+    verdict, cert = has_reduction_property(A, seed, tol)
+    if not verdict:
         raise StructurePreconditionError("central idempotents need a semisimple algebra")
-
-    # centre = null space of the commutator map restricted to the span of A
-    B = np.reshape(A.basis, (-1, n, n))
-    P = B[:, None] @ B[None]
-    K = null_space((P - P.transpose(1, 0, 2, 3)).reshape(A.dim, -1).T, tol=tol)
-    F = Subspace.from_spanning(B.reshape(A.dim, -1).T @ K, tol=tol).frame
-    center = _basis_from_frame(F, n, unital=True)
-    m = center.dim
-
-    rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
-        coeff = rng.standard_normal(m)
-        z = center.combine(coeff)
-        evals, vecs = np.linalg.eig(z)
-        clusters = eig_clusters(evals)
-        if len(clusters) != m:
-            continue
-        # invert in cluster order: the idempotents' roundoff, and so every report
-        # downstream, depends on the column order
-        order = np.concatenate(clusters)
-        vecs = vecs[:, order]
-        try:
-            vinv = np.linalg.inv(vecs)
-        except np.linalg.LinAlgError:
-            continue
-        idems = []
-        for cl in clusters:
-            d = np.isin(order, cl)
-            idems.append(vecs @ np.diag(d.astype(complex)) @ vinv)
-        if _verify_central_idempotents(idems, center, tol):
-            idems.sort(key=lambda p: rank_and_range(p, tol)[1].canonical_key())
-            return center, idems
-    raise NumericalDegeneracyError(
-        "could not split the centre into minimal idempotents after max retries"
-    )
-
-
-def _verify_central_idempotents(
-    idems: list[np.ndarray], center: AlgebraBasis, tol: Tolerance
-) -> bool:
-    n = center.ambient
-    total = np.zeros((n, n), dtype=complex)
-    # loosened by the conditioning of the eigenbasis; final pipeline checks re-verify
-    eps = 1e-6
-    for i, p in enumerate(idems):
-        if operator_norm(p @ p - p) > eps * max(1.0, operator_norm(p)) ** 2:
-            return False
-        if not center.in_span(p, Tolerance(tol.rank_eps, eps)):
-            return False
-        for q in idems[i + 1 :]:
-            if operator_norm(p @ q) > eps * max(1.0, operator_norm(p) * operator_norm(q)):
-                return False
-        total += p
-    return operator_norm(total - identity(n)) <= eps
+    Y = np.hstack([p.frame for p, _ in cert.pieces])
+    Y_inv = np.linalg.inv(Y)
+    labels = np.concatenate([[lab] * p.dim for p, lab in cert.pieces])
+    idems = [Y[:, labels == c] @ Y_inv[labels == c] for c in sorted(set(labels))]
+    idems.sort(key=lambda p: rank_and_range(p, tol)[1].canonical_key())
+    F = Subspace.from_spanning(np.reshape(idems, (len(idems), -1)).T, ambient=n * n, tol=tol)
+    return _basis_from_frame(F.frame, n, unital=True), idems
 
 
 @dataclass(frozen=True)

@@ -132,18 +132,26 @@ def _tolerance(rank_eps, eq_eps) -> Tolerance:
 
 
 def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
-    """Run the full pipeline on an algebra and collect the report dictionary."""
+    """Run the full pipeline on an algebra and collect the report dictionary.
+
+    On a yes the commutant is the certificate's, and A'' = A exactly when no
+    summand is annihilated: then I is in A, which is similar to a unital
+    *-algebra (double commutant theorem), and else I is in A'' but not in A.
+    """
     t0 = time.perf_counter()
     verdict, cert = has_reduction_property(A, seed=seed, tol=tol)
-    comm = commutant(A, tol)
-    bicomm = commutant(comm, tol)
+    if verdict:
+        comm, bicomm_equal = cert.commutant, cert.degenerate_dim == 0
+    else:
+        comm = commutant(A, tol)
+        bicomm_equal = span_equal(A, commutant(comm, tol), tol)
     report = {
         "algebra_dimension": A.dim,
         "ambient_dimension": A.ambient,
         "unital": bool(A.contains_identity(tol)),
         "radical_dimension": cert.radical_dim,
         "commutant_dimension": comm.dim,
-        "bicommutant_equals_algebra": bool(span_equal(A, bicomm, tol)),
+        "bicommutant_equals_algebra": bool(bicomm_equal),
         "reduction_property": {"verdict": bool(verdict)},
         "wedderburn_profile": None,
         "projection_constant_lower_bound": None,
@@ -155,7 +163,7 @@ def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
             "degenerate_dimension": cert.degenerate_dim,
         }
         profile = _wedderburn_similarity(A, cert, tol)
-        bound, _ = _projection_constant_estimate(A, cert, comm, samples, seed, tol)
+        bound, _ = _projection_constant_estimate(A, cert, samples, seed, tol)
         report["wedderburn_profile"] = [list(b) for b in profile.blocks]
         report["projection_constant_lower_bound"] = float(bound)
         report["similarity_condition"] = float(profile.similarity.condition)
@@ -242,7 +250,9 @@ def build_gallery_algebra(args):
         return a_lambda(args.lam)
     if name == "digraph":
         edges = _parse_edges(args.edges)
-        nodes = args.nodes or (max((max(i, j) for i, j in edges), default=0) + 1)
+        nodes = args.nodes
+        if nodes is None:
+            nodes = max((max(i, j) for i, j in edges), default=0) + 1
         G = Digraph.from_edges(nodes, edges)
         return digraph_algebra(G)
     if name == "csl":

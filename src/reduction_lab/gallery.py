@@ -55,6 +55,8 @@ class Digraph:
     edges: frozenset
 
     def __post_init__(self) -> None:
+        if self.nodes < 1:
+            raise MalformedGraphError(f"a digraph needs at least one node, got {self.nodes}")
         for i, j in self.edges:
             if not (0 <= i < self.nodes and 0 <= j < self.nodes):
                 raise MalformedGraphError(f"edge ({i},{j}) is out of range")

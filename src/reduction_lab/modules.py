@@ -198,17 +198,24 @@ def irreducible_decomposition(
     sorted by ``canonical_key`` and labelled by ``_class_labels``, which also
     certifies that they are irreducible.  The output order is deterministic.
     """
-    n = A.ambient
     if radical(A, tol).dim != 0:
         raise StructurePreconditionError("decomposition needs a semisimple algebra")
     if A.dim == 0:
         raise StructurePreconditionError("the zero algebra acts degenerately")
     r, _ = rank_and_range(np.hstack(A.basis), tol)
-    if r != n:
+    if r != A.ambient:
         raise StructurePreconditionError(
             "algebra acts degenerately; strip the annihilated complement first"
         )
-    C = commutant(A, tol)
+    return _decompose(A, commutant(A, tol), seed, tol, max_retries)
+
+
+def _decompose(
+    A: AlgebraBasis, C: AlgebraBasis, seed: int, tol: Tolerance, max_retries: int = 40
+) -> list[tuple[Subspace, int]]:
+    """``irreducible_decomposition`` of a semisimple A acting nondegenerately,
+    given its commutant C; the preconditions are the caller's."""
+    n = A.ambient
     rng = np.random.default_rng(seed)
     for _ in range(max_retries):
         evals, vecs = np.linalg.eig(C.combine(rng.standard_normal(C.dim)))
@@ -379,8 +386,11 @@ class ReductionCertificate:
 
     For a yes the certificate is a Wedderburn block profile; for a no it is a
     nonzero radical element together with an invariant subspace that admits no
-    module complement.  A yes also keeps, for the later stages, the internal
-    unit and the class-labelled irreducible pieces of its range, lifted to C^n.
+    module complement.  A yes also carries to every later stage the internal
+    unit e, the kernel of e, the class-labelled irreducible pieces of range e
+    lifted to C^n, one intertwiner T per piece q (``homs``: b (q.frame T) =
+    (q.frame T)(F0* b F0) over the frame F0 of its class's first piece, whose
+    T is I) and the commutant of A, with a Frobenius-orthonormal basis.
     """
 
     verdict: bool
@@ -390,7 +400,10 @@ class ReductionCertificate:
     witness: Subspace | None = None
     radical_dim: int = field(default=0, repr=False)
     unit: np.ndarray | None = field(default=None, repr=False)
+    kernel: Subspace | None = field(default=None, repr=False)
     pieces: tuple = field(default=(), repr=False)
+    homs: tuple = field(default=(), repr=False)
+    commutant: AlgebraBasis | None = field(default=None, repr=False)
 
 
 def has_reduction_property(
@@ -401,6 +414,13 @@ def has_reduction_property(
     The invariant-subspace family of a matrix algebra is generally a
     continuum, so the decision is made through semisimplicity; sampled
     complement searches cross-check it in the test suite.
+
+    A yes is the one structure pass of an analysis.  With R and K orthonormal
+    frames of the range and the kernel of the unit e, the restriction B of A
+    to range e is semisimple and holds its unit, so it is decomposed from its
+    commutant C with no further checks.  A' is C on range e and all of M_d on
+    ker e, which A annihilates: the span of R c R* e over C's basis and of
+    K_a K_b* (I - e), as e = R R* e and I - e = K K* (I - e).
     """
     n = A.ambient
     rad = radical(A, tol)
@@ -413,17 +433,37 @@ def has_reduction_property(
     if e is None:
         raise NumericalDegeneracyError("semisimple algebra has no computable unit")
     rank_e, range_e = rank_and_range(e, tol)
-    pieces = []
+    kernel = rank_and_range(identity(n) - e, tol)[1]
+    K = kernel.frame
+    spans = np.einsum("ia,jb->abij", K, K.conj()).reshape(-1, n, n) @ (identity(n) - e)
+    pieces, homs, first = [], [], {}
     if rank_e:
+        R = range_e.frame
         B = restriction_to_invariant(A, range_e, tol)
+        C = commutant(B, tol)
         pieces = [
-            (Subspace.from_spanning(range_e.frame @ p.frame, ambient=n, tol=tol), lab)
-            for p, lab in irreducible_decomposition(B, seed=seed, tol=tol)
+            (Subspace.from_spanning(R @ p.frame, ambient=n, tol=tol), lab)
+            for p, lab in _decompose(B, C, seed, tol)
         ]
+        lifted = R @ np.reshape(C.basis, (-1, rank_e, rank_e)) @ R.conj().T @ e
+        spans = np.concatenate([lifted, spans])
+    frame = Subspace.from_spanning(spans.reshape(-1, n * n).T, ambient=n * n, tol=tol).frame
+    for q, lab in pieces:
+        if lab not in first:
+            first[lab] = q
+            homs.append(identity(q.dim))
+            continue
+        tw = intertwiners(first[lab], q, A, tol)
+        if tw.dim != 1:
+            raise NumericalDegeneracyError(
+                f"stage 'block-similarity': Hom between isomorphic pieces has dimension {tw.dim}"
+            )
+        homs.append(tw.basis[0])
     labels = [lab for _, lab in pieces]
     blocks = sorted({lab: (p.dim, labels.count(lab)) for p, lab in pieces}.values(), reverse=True)
     return True, ReductionCertificate(
-        True, tuple(blocks), n - rank_e, unit=e, pieces=tuple(pieces)
+        True, tuple(blocks), n - rank_e, unit=e, kernel=kernel, pieces=tuple(pieces),
+        homs=tuple(homs), commutant=_basis_from_frame(frame, n, unital=True)
     )
 
 
@@ -522,36 +562,37 @@ def projection_constant_estimate(
     if amplification not in (1, 2):
         raise MalformedInputError("only amplification levels 1 and 2 are supported")
     cert = has_reduction_property(A, seed, tol)[1]
-    comm = commutant(A, tol)
     if amplification == 2:
         doubled = AlgebraBasis(
             ambient=2 * A.ambient,
             basis=[np.kron(b, np.eye(2)) for b in A.basis],
             unital=A.unital,
         )
-        base, wit1 = _projection_constant_estimate(A, cert, comm, samples, seed, tol)
+        base, wit1 = _projection_constant_estimate(A, cert, samples, seed, tol)
         high, wit2 = projection_constant_estimate(doubled, samples, seed, tol)
         witnesses = sorted(wit1 + wit2, key=lambda t: -t[1])
         return max(base, high), witnesses
-    return _projection_constant_estimate(A, cert, comm, samples, seed, tol)
+    return _projection_constant_estimate(A, cert, samples, seed, tol)
 
 
 def _projection_constant_estimate(
     A: AlgebraBasis,
     cert: ReductionCertificate,
-    comm: AlgebraBasis,
     samples: int,
     seed: int,
     tol: Tolerance,
 ) -> tuple[float, list]:
     """``projection_constant_estimate`` at amplification 1, given the reduction
-    certificate and the commutant ``comm`` of A.  Pieces, isotypic sums and random
-    unions are all unions of pieces, each known by the set of pieces it joins, and
-    a set joined before is skipped; a union of several pieces is one span of their
-    stacked frames.  The whole space is skipped when it is the union of all
-    pieces, or the kernel of a zero unit.  One ``_min_norm_module_projections``
-    pass solves every candidate, to a barrier gap <= 1e-11 relative at exit;
-    still reported uncertified because no dual value is reported.
+    certificate, whose commutant, kernel of the unit and piece intertwiners it
+    reads.  Pieces, isotypic sums and random unions are all unions of pieces,
+    each known by the set of pieces it joins, and a set joined before is
+    skipped; a union of several pieces is one span of their stacked frames.
+    The graph subspaces between pieces i < j of a class take the intertwiner
+    homs[j] homs[i]^-1 at unit operator norm.  The whole space is skipped when
+    it is the union of all pieces, or the kernel of a zero unit.  One
+    ``_min_norm_module_projections`` pass solves every candidate, to a barrier
+    gap <= 1e-11 relative at exit; still reported uncertified because no dual
+    value is reported.
     """
     if not cert.verdict:
         raise StructurePreconditionError("projection constants need the reduction property")
@@ -582,22 +623,17 @@ def _projection_constant_estimate(
         union(tuple(members))
     # graph subspaces between isomorphic pieces
     for members in by_label.values():
-        group = [cert.pieces[k][0] for k in members]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                tw = intertwiners(group[i], group[j], A, tol)
-                if tw.dim == 0:
-                    continue
-                T = tw.basis[0]
+        for a, i in enumerate(members):
+            for j in members[a + 1 :]:
+                T = cert.homs[j] @ np.linalg.inv(cert.homs[i])
                 T = T / max(operator_norm(T), 1e-30)
                 for lam in (1.0, *(rng.uniform(0.3, 3.0, size=3))):
-                    cols = group[i].frame + lam * (group[j].frame @ T)
+                    cols = cert.pieces[i][0].frame + lam * (cert.pieces[j][0].frame @ T)
                     add(Subspace.from_spanning(cols, ambient=n, tol=tol))
     if cert.degenerate_dim:
         # the annihilated summand (everything, for a zero unit) is the kernel
         # of the internal unit, which is skew against its range in general
-        _, ker_e = rank_and_range(identity(n) - cert.unit, tol)
-        add(ker_e)
+        add(cert.kernel)
     # random unions of pieces (a bounded number of draws)
     if len(cert.pieces) > 1:
         for _ in range(2 * samples):
@@ -611,7 +647,7 @@ def _projection_constant_estimate(
         add(Subspace.full(n))
 
     candidates = candidates[: max(samples, 1)]
-    norms = _opnorms(_min_norm_module_projections(candidates, A, comm, tol)).tolist()
+    norms = _opnorms(_min_norm_module_projections(candidates, A, cert.commutant, tol)).tolist()
     witnesses = sorted(zip(candidates, norms), key=lambda t: -t[1])
     return max(norms), witnesses
 

@@ -39,7 +39,6 @@ from .modules import (
     ReductionCertificate,
     Representation,
     has_reduction_property,
-    intertwiners,
 )
 from .tolerance import DEFAULT_TOL, Tolerance
 
@@ -298,18 +297,20 @@ def wedderburn_similarity(
 ) -> WedderburnProfile:
     """Similarity carrying a reduction algebra onto a self-adjoint block algebra.
 
-    From the reduction certificate's unit e and labelled irreducible pieces:
-    per isotypic block, lay the pieces side by side as Y_i, each later piece
-    composed with its intertwiner from the first, so that b Y_i =
-    Y_i (x kron I_mult); with K an orthonormal frame of ker e, the similarity
-    is S = diag(G_1^1/2 kron H_1^1/2, ..., G_r^1/2 kron H_r^1/2, I_d) [Y K]^-1
-    for the Kronecker fits G_i kron H_i of Y_i* Y_i (see ``_kronecker_fit``).  The blocks land on
-    leading coordinates, (dimension, multiplicity) descending, the annihilated
-    summand last.  Renorming e first (``renorm_from_projection``) and
-    Dixmier-averaging the central idempotents (``dixmier_orthogonalize``)
-    would give S times a unitary: the renorm is isometric on range e and on
-    ker e, and the Dixmier metric D has D* D = sum p_j* p_j with
-    p_j Y_i = delta_ij Y_i, so neither changes any Y_i* Y_i.
+    From the reduction certificate's unit e, the kernel of e and the labelled
+    irreducible pieces: per isotypic block, lay the pieces side by side as
+    Y_i, each composed with the certificate's intertwiner from the first
+    piece of its class, so that b Y_i = Y_i (x kron I_mult); with K the
+    certificate's orthonormal frame of ker e, the similarity is
+    S = diag(G_1^1/2 kron H_1^1/2, ..., G_r^1/2 kron H_r^1/2, I_d) [Y K]^-1
+    for the Kronecker fits G_i kron H_i of Y_i* Y_i (see ``_kronecker_fit``).
+    The blocks land on leading coordinates, (dimension, multiplicity)
+    descending, the annihilated summand last.  Renorming e first
+    (``renorm_from_projection``) and Dixmier-averaging the central
+    idempotents (``dixmier_orthogonalize``) would give S times a unitary: the
+    renorm is isometric on range e and on ker e, and the Dixmier metric D has
+    D* D = sum p_j* p_j with p_j Y_i = delta_ij Y_i, so neither changes any
+    Y_i* Y_i.
     """
     return _wedderburn_similarity(A, has_reduction_property(A, seed, tol)[1], tol)
 
@@ -317,8 +318,9 @@ def wedderburn_similarity(
 def _wedderburn_similarity(
     A: AlgebraBasis, cert: ReductionCertificate, tol: Tolerance
 ) -> WedderburnProfile:
-    """``wedderburn_similarity`` from the algebra's reduction certificate (it
-    draws no random numbers)."""
+    """``wedderburn_similarity`` from the algebra's reduction certificate, whose
+    unit, kernel of the unit, pieces and piece intertwiners it reads (it draws
+    no random numbers and solves for no intertwiner)."""
     n = A.ambient
     if not cert.verdict:
         raise StructurePreconditionError("algebra does not have the reduction property")
@@ -330,25 +332,16 @@ def _wedderburn_similarity(
     e = cert.unit
     if operator_norm(e @ e - e) > tol.eq_eps * max(1.0, operator_norm(e)) ** 2:
         raise NumericalDegeneracyError("stage 'degenerate-split': unit is not idempotent")
-    K = rank_and_range(identity(n) - e, tol)[1].frame
+    K = cert.kernel.frame
 
-    # per isotypic block, the pieces side by side, each later one composed
-    # with its intertwiner from the first (Hom is one-dimensional by Schur)
-    # and interleaved so that b Y = Y (x kron I_mult); blocks in layout
-    # order, (dimension, multiplicity) descending
+    # per isotypic block, the pieces side by side, each composed with its
+    # intertwiner from the first (``cert.homs``) and interleaved so that
+    # b Y = Y (x kron I_mult); blocks in layout order, (dimension,
+    # multiplicity) descending
     groups = []
     for c in sorted({lab for _, lab in cert.pieces}):
-        group = [p for p, lab in cert.pieces if lab == c]
-        cols = [group[0].frame]
-        for q in group[1:]:
-            tw = intertwiners(group[0], q, A, tol)
-            if tw.dim != 1:
-                raise NumericalDegeneracyError(
-                    f"stage 'block-similarity': Hom between isomorphic pieces "
-                    f"has dimension {tw.dim}"
-                )
-            cols.append(q.frame @ tw.basis[0])
-        groups.append((group[0].dim, len(group), np.stack(cols, axis=2).reshape(n, -1)))
+        cols = [p.frame @ T for (p, lab), T in zip(cert.pieces, cert.homs) if lab == c]
+        groups.append((cols[0].shape[1], len(cols), np.stack(cols, axis=2).reshape(n, -1)))
     groups.sort(key=lambda g: (-g[0], -g[1]))
 
     # [Y K]^-1 alone carries block i onto x kron I_mult on its coordinates

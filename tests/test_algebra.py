@@ -388,6 +388,18 @@ class TestCenterAndIdempotents:
                 total += p
             assert operator_norm(total - np.eye(A.ambient)) < 1e-7
 
+    def test_idempotents_do_not_depend_on_seed(self, rng):
+        # the central idempotents are unique; only the pieces they are read
+        # from follow the seed
+        for _ in range(20):
+            A, blocks, _ = random_semisimple_algebra(rng, max_dim=6)
+            Z1, idems1 = center_and_minimal_central_idempotents(A, seed=1)
+            Z2, idems2 = center_and_minimal_central_idempotents(A, seed=2)
+            assert Z1.dim == Z2.dim == len(idems1) == len(blocks)
+            assert span_equal(Z1, Z2)
+            for p, q in zip(idems1, idems2):
+                assert operator_norm(p - q) <= 1e-10 * max(1.0, operator_norm(p))
+
     def test_non_semisimple_rejected(self):
         A = AlgebraBasis(ambient=2, basis=[np.eye(2, dtype=complex), unit(2, 0, 1)],
                          unital=True)

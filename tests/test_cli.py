@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from reduction_lab import algebra, modules
-from reduction_lab.algebra import AlgebraBasis
+from reduction_lab.algebra import AlgebraBasis, bicommutant, commutant, span_equal
 from reduction_lab.cli import SEED_ENV_VAR, analysis_report, build_parser, main
 from reduction_lab.gallery import a_lambda, truncated_graph_example
 from reduction_lab.linalg import operator_norm
-from reduction_lab.sampling import random_invertible, random_semisimple_algebra
+from reduction_lab.sampling import block_algebra_basis, random_invertible, random_semisimple_algebra
 from reduction_lab.tolerance import DEFAULT_TOL
 
 
@@ -196,21 +196,50 @@ def record_calls(monkeypatch, fn, first_args):
 
 class TestAnalysisReport:
     @pytest.mark.parametrize(
-        "make",
-        [lambda: truncated_graph_example(4, 0.5), lambda: a_lambda(2.0)],
-        ids=["truncated_graph_example(4, 0.5)", "a_lambda(2.0)"],
+        "make, copies",
+        [
+            (lambda: truncated_graph_example(4, 0.5), 1),
+            (lambda: a_lambda(2.0), 0),
+            (lambda: block_algebra_basis([(2, 1), (1, 2)], degenerate_dim=1), 1),
+        ],
+        ids=["truncated_graph_example(4, 0.5)", "a_lambda(2.0)", "M2+C2+0_1"],
     )
-    def test_radical_and_unit_computed_once(self, monkeypatch, make):
+    def test_radical_and_unit_computed_once(self, monkeypatch, make, copies):
+        # one structure pass: the radical of A, the unit, the commutant of
+        # the restriction to the unit's range (never of A) and one Hom solve
+        # per later copy of each class; every later stage reads the certificate
         A = make()
-        radical_args, unit_args, commutant_args = [], [], []
+        radical_args, unit_args, commutant_args, hom_args = [], [], [], []
         record_calls(monkeypatch, algebra.radical, radical_args)
         record_calls(monkeypatch, modules.algebra_identity_element, unit_args)
         record_calls(monkeypatch, algebra.commutant, commutant_args)
+        record_calls(monkeypatch, modules.intertwiners, hom_args)
         report = analysis_report(A, seed=42, samples=24, tol=DEFAULT_TOL)
         assert report["reduction_property"]["verdict"] is True
-        assert sum(arg is A for arg in radical_args) == 1
+        assert len(radical_args) == 1 and radical_args[0] is A
         assert len(unit_args) == 1
-        assert sum(arg is A for arg in commutant_args) == 1
+        assert len(commutant_args) == 1 and commutant_args[0] is not A
+        degenerate = report["reduction_property"]["certificate"]["degenerate_dimension"]
+        assert commutant_args[0].ambient == A.ambient - degenerate
+        assert len(hom_args) == copies
+
+    def test_bicommutant_at_the_reach_edge(self, capsys):
+        # the closed form A'' = A (no annihilated summand) where the solved
+        # bicommutant keeps too few directions at its rank cut
+        argv = ["gallery", "graph_truncation", "--k", "4", "--decay", "0.005", "--seed", "42"]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        assert json.loads(out)["bicommutant_equals_algebra"] is True
+
+    def test_bicommutant_closed_form_matches_solve(self, rng):
+        with_degenerate = 0
+        for _ in range(60):
+            A, _, degenerate = random_semisimple_algebra(rng, max_dim=6, allow_degenerate=True)
+            with_degenerate += degenerate > 0
+            report = analysis_report(A, seed=42, samples=4, tol=DEFAULT_TOL)
+            assert report["bicommutant_equals_algebra"] == span_equal(A, bicommutant(A))
+            assert report["commutant_dimension"] == commutant(A).dim
+        assert with_degenerate >= 10
 
     def test_invariant_under_basis_scale_change_and_unitary(self):
         rng = np.random.default_rng(3)
@@ -252,6 +281,12 @@ class TestGallery:
         assert code == 0
         report = json.loads(out)
         assert report["reduction_property"]["verdict"] is False
+
+    @pytest.mark.parametrize("nodes", ["-1", "0"])
+    def test_digraph_node_count_below_one_is_malformed(self, capsys, nodes):
+        code, out, err = run(capsys, ["gallery", "digraph", "--nodes", nodes])
+        assert code == 1 and out == ""
+        assert err.startswith("error: a digraph needs at least one node")
 
     def test_graph_truncation_profile(self, capsys):
         code, out, _ = run(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reduction_lab import modules
-from reduction_lab.algebra import AlgebraBasis, commutant, generate_algebra, radical
+from reduction_lab.algebra import AlgebraBasis, commutant, generate_algebra, radical, span_equal
 from reduction_lab.errors import (
     InvalidWitnessError,
     MalformedDerivationError,
@@ -347,6 +347,44 @@ class TestHasReductionProperty:
                 assert ok_s == ok
                 assert cert_s.blocks == cert.blocks
                 assert cert_s.degenerate_dim == cert.degenerate_dim
+
+    @staticmethod
+    def check_structure(A, cert):
+        # the commutant, the kernel of the unit and the piece intertwiners
+        # the certificate carries, each against a solve of its own
+        n = A.ambient
+        comm = cert.commutant
+        assert span_equal(comm, commutant(A))
+        G = np.reshape(comm.basis, (comm.dim, -1))
+        assert operator_norm(G.conj() @ G.T - np.eye(comm.dim)) <= 1e-12
+        kernel = Subspace.from_spanning(null_space(cert.unit), ambient=n)
+        assert cert.kernel.dim == n - np.linalg.matrix_rank(cert.unit, 1e-8)
+        assert cert.kernel.equals(kernel)
+        assert len(cert.homs) == len(cert.pieces)
+        first = {}
+        for (q, lab), T in zip(cert.pieces, cert.homs):
+            F0 = first.setdefault(lab, q.frame)
+            Y = q.frame @ T
+            for b in A.basis:
+                defect = operator_norm(b @ Y - Y @ (F0.conj().T @ b @ F0))
+                assert defect <= 1e-8 * max(1.0, operator_norm(b) * operator_norm(Y))
+
+    def test_certificate_carries_structure(self, rng):
+        with_degenerate = 0
+        for _ in range(60):
+            A, _, degenerate = random_semisimple_algebra(rng, max_dim=6, allow_degenerate=True)
+            with_degenerate += degenerate > 0
+            ok, cert = has_reduction_property(A, seed=int(rng.integers(2**31)))
+            assert ok and cert.degenerate_dim == degenerate
+            self.check_structure(A, cert)
+        assert with_degenerate >= 10
+
+    def test_zero_algebra_certificate(self):
+        A = AlgebraBasis(ambient=3, basis=[])
+        ok, cert = has_reduction_property(A)
+        assert ok and cert.pieces == cert.homs == () and cert.kernel.dim == 3
+        assert cert.commutant.dim == 9
+        self.check_structure(A, cert)
 
 
 class TestMinNormProjection:

@@ -402,13 +402,18 @@ class TestWedderburnSimilarity:
 
     @pytest.mark.parametrize("fault", ["unit-swapped", "piece-dropped"])
     def test_pieces_and_kernel_not_a_basis_raise(self, fault):
-        # one piece kept: with the unit swapped for 1 - e, the kernel frame K
-        # contains that piece and [Y K] is square but singular; with the
-        # unit kept, [Y K] is not square
+        # one piece kept: with the unit swapped for 1 - e (and its kernel for
+        # the range of e), the kernel frame K contains that piece and [Y K]
+        # is square but singular; with the unit kept, [Y K] is not square
         A = block_algebra_basis([(1, 1), (1, 1)], degenerate_dim=1)
         cert = has_reduction_property(A)[1]
         if fault == "unit-swapped":
-            cert = replace(cert, unit=np.eye(3) - cert.unit, pieces=cert.pieces[:1])
+            cert = replace(
+                cert,
+                unit=np.eye(3) - cert.unit,
+                kernel=rank_and_range(cert.unit)[1],
+                pieces=cert.pieces[:1],
+            )
         else:
             cert = replace(cert, pieces=cert.pieces[:1])
         with pytest.raises(NumericalDegeneracyError, match="stage 'block-similarity'"):
