@@ -1,11 +1,15 @@
 """Wall time and peak RSS of `reduction-lab analyze` on full matrix algebras M_n.
 
 M_n is given by two generators, the plain clock diag(exp(2 pi i j / n)) and
-the cyclic shift, with no conjugation.  Each n runs in a fresh Python
+the cyclic shift, with no conjugation.  With ``--central`` the algebra is
+instead the diagonal algebra C^n of n central summands, generated by the
+clock conjugated by the fixed shear I + 1/2 (strict upper triangle of ones),
+so that its unions of summands are skew.  Each n runs in a fresh Python
 process with 2 BLAS threads (fewer if fewer CPUs are available), so each peak
 resident set is that analysis's alone:
 
     PYTHONPATH=src python3 scripts/mn_walls.py 10 12 14 16
+    PYTHONPATH=src python3 scripts/mn_walls.py --central 6 8 12 13
 """
 
 import argparse
@@ -31,16 +35,21 @@ print(code, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 """
 
 
-def write_spec(path: Path, n: int) -> None:
+def write_spec(path: Path, n: int, central: bool) -> None:
     clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
-    gens = [[[[z.real, z.imag] for z in row] for row in g] for g in (clock, shift)]
+    if central:
+        shear = np.eye(n) + 0.5 * np.triu(np.ones((n, n)), 1)
+        mats = [shear @ clock @ np.linalg.inv(shear)]
+    else:
+        mats = [clock, np.roll(np.eye(n, dtype=complex), 1, axis=0)]
+    gens = [[[[z.real, z.imag] for z in row] for row in g] for g in mats]
     path.write_text(json.dumps({"dimension": n, "generators": gens, "unital": True}))
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("sizes", type=int, nargs="+")
+    ap.add_argument("--central", action="store_true", help="C^n under a fixed shear, not M_n")
     args = ap.parse_args()
 
     threads = str(min(BLAS_THREADS, len(os.sched_getaffinity(0))))
@@ -49,16 +58,17 @@ def main() -> None:
     print(f"{'n':>4} {'seconds':>9} {'peak_MiB':>9}")
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
-            spec = Path(tmp) / f"M{n}.json"
-            write_spec(spec, n)
+            name = f"C^{n}" if args.central else f"M_{n}"
+            spec = Path(tmp) / f"{name}.json"
+            write_spec(spec, n, args.central)
             proc = subprocess.run(
                 [sys.executable, "-c", CHILD, str(spec)],
                 env=env, capture_output=True, text=True, check=True,
             )
             code, seconds, peak = proc.stdout.split()
             if code != "0":
-                sys.exit(f"analyze on M_{n} exited {code}")
-            print(f"{n:>4} {float(seconds):9.2f} {float(peak):9.0f}")
+                sys.exit(f"analyze on {name} exited {code}")
+            print(f"{n:>4} {float(seconds):9.3f} {float(peak):9.0f}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Survey projection-constant lower bounds across the gallery families.
 
 Sweeps the commutative a_lambda family and the graph-truncation family,
-reporting the sampled lower bound, the exact level-1 value where one is
-known, and the condition of the orthogonalising similarity.
+reporting the lower bound (exact for a_lambda, whose submodules are finitely
+many; sampled for the truncations, whose classes have multiplicity two), the
+exact level-1 value where one is known, and the condition of the
+orthogonalising similarity.
 """
 
 import argparse

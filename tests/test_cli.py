@@ -335,6 +335,14 @@ class TestGallery:
         assert code == 2 and out == ""
         assert err.startswith("error: stage 'final-check'")
 
+    @pytest.mark.parametrize("decay", ["0.0003", "0.0002", "0.0001"])
+    def test_non_invariant_no_witness_is_a_breakdown(self, capsys, decay):
+        # below the reach the trace form loses rank and the radical's range is
+        # not invariant: the no is checked and refused, not reported
+        code, out, err = run(capsys, ["gallery", "graph_truncation", "--k", "4", "--decay", decay])
+        assert code == 2 and out == ""
+        assert err.startswith("error: stage 'radical': the witness is not invariant (residual")
+
     def test_csl_masks(self, capsys):
         code, out, _ = run(capsys, ["gallery", "csl", "--masks", "10,01"])
         assert code == 0
@@ -427,8 +435,9 @@ class TestEntryPoints:
             (["digraph_census.py", "--nodes", "3", "--cb-samples", "5",
               "--amplification", "2"], "3      29          5          5     29"),
             (["mn_walls.py", "3"], "3"),
+            (["mn_walls.py", "--central", "3"], "3"),
         ],
-        ids=["projection_constant_survey", "digraph_census", "mn_walls"],
+        ids=["projection_constant_survey", "digraph_census", "mn_walls", "mn_walls_central"],
     )
     def test_scripts_run(self, argv, last_line):
         # both scripts call into the estimate and decision paths; tiny sizes

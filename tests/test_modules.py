@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,13 +15,16 @@ from reduction_lab.errors import (
     StructurePreconditionError,
 )
 from reduction_lab.gallery import (
+    Digraph,
     a_lambda,
     all_reflexive_transitive_digraphs,
     digraph_algebra,
+    non_reflexive_example,
     truncated_graph_example,
 )
 from reduction_lab.linalg import (
     Subspace,
+    _opnorms,
     null_space,
     operator_norm,
     solve_consistent,
@@ -47,6 +51,7 @@ from reduction_lab.sampling import (
     random_digraph,
     random_invertible,
     random_semisimple_algebra,
+    random_unitary,
 )
 from reduction_lab.tolerance import DEFAULT_TOL
 
@@ -379,6 +384,26 @@ class TestHasReductionProperty:
             self.check_structure(A, cert)
         assert with_degenerate >= 10
 
+    def test_no_verdict_witness_is_invariant(self):
+        # a no is reported only after its witness passes the invariance check:
+        # it does on every no-case of the suite, the digraphs, the
+        # non-reflexive example and the chains T_n
+        algebras = [
+            digraph_algebra(G)
+            for nodes in (3, 4)
+            for G in all_reflexive_transitive_digraphs(nodes)
+            if not G.symmetric
+        ]
+        algebras += [non_reflexive_example()[0], upper_triangular_2()]
+        algebras += [
+            digraph_algebra(Digraph.from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+            for n in range(2, 9)
+        ]
+        for A in algebras:
+            ok, cert = has_reduction_property(A)
+            assert not ok
+            assert modules._invariance_residual(cert.witness, A) <= DEFAULT_TOL.eq_eps
+
     def test_zero_algebra_certificate(self):
         A = AlgebraBasis(ambient=3, basis=[])
         ok, cert = has_reduction_property(A)
@@ -513,13 +538,12 @@ class TestMinNormProjection:
             min_norm_module_projection(Subspace.span_of_basis_vector(2, 0), A)
 
     @pytest.mark.parametrize(
-        "make",
-        [lambda: truncated_graph_example(4, 0.5), lambda: a_lambda(2.0)],
-        ids=["truncated_graph_example(4, 0.5)", "a_lambda(2.0)"],
+        "make", [lambda: truncated_graph_example(4, 0.5)], ids=["truncated_graph_example(4, 0.5)"]
     )
     def test_drifted_minimiser_is_caught(self, monkeypatch, make):
-        # every witness is re-verified after the descent, also those with no
-        # free direction (all of a_lambda's)
+        # every sampled witness is re-verified after the descent, also those
+        # with no free direction; a multiplicity-free algebra takes the lattice
+        # route, whose atom projections are checked instead
         def drifted(P0, D):
             return P0 + 1e-3 * np.ones(P0.shape)
 
@@ -606,8 +630,10 @@ class TestProjectionConstantEstimate:
             projection_constant_estimate(a_lambda(1.0), amplification=3)
 
     def test_repeated_union_masks_are_skipped(self, monkeypatch):
-        # two pieces give three distinct masks among the 48 draws; a repeat
-        # is skipped before its join is built and tested for invariance
+        # M2 x I2 has two isomorphic pieces, so its unions are sampled: three
+        # distinct masks among the 48 draws, and a repeat is skipped before its
+        # join is built and tested for invariance (without the skip the draws
+        # would test 17 more candidates)
         calls = []
 
         def counting(V, A, tol=DEFAULT_TOL):
@@ -615,8 +641,8 @@ class TestProjectionConstantEstimate:
             return invariant(V, A, tol)
 
         monkeypatch.setattr(modules, "invariant", counting)
-        bound, _ = projection_constant_estimate(a_lambda(2.0))
-        assert bound == pytest.approx(np.sqrt(5.0), abs=1e-9)
+        bound, _ = projection_constant_estimate(amplified_m2())
+        assert bound == pytest.approx(1.0, abs=1e-9)
         assert len(calls) <= 12
 
     def test_degenerate_orthogonal_case(self):
@@ -633,6 +659,112 @@ class TestProjectionConstantEstimate:
         bound, _ = projection_constant_estimate(A)
         want = max(operator_norm(p), operator_norm(np.eye(2) - p))
         assert bound == pytest.approx(want, abs=1e-8)
+
+
+def conjugated_diagonal(n, rng, zeros=0):
+    """C^n (+) 0_zeros as R diag(1, ..., n, 0, ...) R^-1, and R."""
+    R = random_invertible(n + zeros, rng, max_cond=20)
+    D = np.diag(np.r_[np.arange(1.0, n + 1), np.zeros(zeros)]).astype(complex)
+    return generate_algebra([R @ D @ np.linalg.inv(R)], unital=not zeros), R
+
+
+class TestLatticeProjectionConstant:
+    @staticmethod
+    def estimate(A, seed=0):
+        """(bound, witnesses, whether the lattice route ran)."""
+        cert = has_reduction_property(A, seed)[1]
+        bound, witnesses = modules._projection_constant_estimate(A, cert, 24, seed, DEFAULT_TOL)
+        return bound, witnesses, modules._lattice_atoms(cert) is not None
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_conjugated_diagonal_against_every_mask(self, rng, n):
+        # the one module projection onto a union of the lines of R C^n R^-1
+        # is R diag(mask) R^-1
+        A, R = conjugated_diagonal(n, rng)
+        R_inv = np.linalg.inv(R)
+        want = max(
+            operator_norm(R @ np.diag(mask) @ R_inv)
+            for mask in itertools.product((0.0, 1.0), repeat=n)
+            if 0 < sum(mask) < n
+        )
+        bound, witnesses, lattice = self.estimate(A)
+        assert lattice
+        assert bound == pytest.approx(want, rel=1e-12)
+        assert witnesses[0][1] == pytest.approx(bound, rel=1e-12)
+        assert len(witnesses) in (n, n + 1)
+
+    @pytest.mark.parametrize("n, zeros", [(5, 0), (3, 2)], ids=["C^5", "C^3+0_2"])
+    def test_invariant_under_scale_unitary_and_seed(self, rng, n, zeros):
+        A, _ = conjugated_diagonal(n, rng, zeros)
+        want = self.estimate(A)[0]
+        U = random_unitary(n + zeros, rng)
+        for s in (1e-6, 1.0, 1e6):
+            moved = AlgebraBasis(
+                A.ambient, [s * U @ b @ U.conj().T for b in A.basis], unital=A.unital
+            )
+            for seed in range(4):
+                assert self.estimate(moved, seed)[0] == pytest.approx(want, rel=1e-12)
+
+    def test_against_least_norms_of_every_union(self, rng):
+        # an independent oracle: the least-norm solve on every union of the
+        # atoms, each of which has exactly one module projection
+        tested = 0
+        while tested < 12:
+            A, blocks, degenerate = random_semisimple_algebra(rng, max_dim=5, allow_degenerate=True)
+            cert = has_reduction_property(A)[1]
+            atoms = [p for p, _ in cert.pieces] + ([cert.kernel] if degenerate else [])
+            if any(m > 1 for _, m in blocks) or len(atoms) < 2:
+                continue
+            unions = [
+                Subspace.from_spanning(np.hstack([atoms[k].frame for k in members]))
+                for size in range(1, len(atoms))
+                for members in itertools.combinations(range(len(atoms)), size)
+            ]
+            P = modules._min_norm_module_projections(unions, A, commutant(A), DEFAULT_TOL)
+            bound, _, lattice = self.estimate(A)
+            assert lattice
+            assert bound == pytest.approx(max(1.0, *_opnorms(P)), rel=1e-9)
+            tested += 1
+
+    def test_norms_in_chunks_match_one_batch(self, monkeypatch, rng):
+        # a large lattice takes its union norms in chunks of bounded memory
+        A, _ = conjugated_diagonal(6, rng)
+        whole = self.estimate(A)
+        monkeypatch.setattr(modules, "_NORM_BATCH", 3 * 6**2)
+        assert self.estimate(A)[0] == whole[0]
+
+    def test_more_atoms_than_the_cap_are_sampled(self, monkeypatch, rng):
+        A, _ = conjugated_diagonal(5, rng)
+        exact, _, lattice = self.estimate(A)
+        monkeypatch.setattr(modules, "_LATTICE_MAX_ATOMS", 3)
+        sampled, witnesses, capped = self.estimate(A)
+        assert lattice and not capped
+        assert 5 <= len(witnesses) <= 24
+        assert sampled <= exact * (1 + 1e-9)
+
+    @pytest.mark.parametrize("corrupt", ["skewed-piece", "repeated-piece", "inverse-row"])
+    def test_corrupted_atom_projection_is_caught(self, monkeypatch, corrupt):
+        # one atom projection off: a piece that is not invariant, a piece given
+        # twice, or one row of S^-1 moved, which breaks idempotency
+        A = a_lambda(2.0)
+        cert = has_reduction_property(A)[1]
+        (p, a), (q, b) = cert.pieces
+        if corrupt == "skewed-piece":
+            skewed = Subspace.from_spanning(p.frame + 1e-3 * q.frame)
+            cert = dataclasses.replace(cert, pieces=((skewed, a), (q, b)))
+        elif corrupt == "repeated-piece":
+            cert = dataclasses.replace(cert, pieces=((p, a), (p, b)))
+        else:
+            inv = np.linalg.inv
+
+            def perturbed(M):
+                X = inv(M)
+                X[-1] += 1e-3
+                return X
+
+            monkeypatch.setattr(np.linalg, "inv", perturbed)
+        with pytest.raises(NumericalDegeneracyError, match="stage 'projection-constant'"):
+            modules._projection_constant_estimate(A, cert, 24, 0, DEFAULT_TOL)
 
 
 class TestIntertwinerSymmetry:
