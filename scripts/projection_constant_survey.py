@@ -2,9 +2,10 @@
 
 Sweeps the commutative a_lambda family and the graph-truncation family,
 reporting the lower bound (exact for a_lambda, whose submodules are finitely
-many; sampled for the truncations, whose classes have multiplicity two), the
-exact level-1 value where one is known, and the condition of the
-orthogonalising similarity.
+many; (kappa + 1/kappa) / 2 for the truncations, kappa the condition, from
+the balanced graph submodule of their multiplicity-two class), the exact
+level-1 value where one is known, and the condition of the orthogonalising
+similarity.
 """
 
 import argparse

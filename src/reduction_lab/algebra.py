@@ -289,11 +289,11 @@ def center_and_minimal_central_idempotents(
 ) -> tuple[AlgebraBasis, list[np.ndarray]]:
     """Centre of a unital semisimple algebra and its minimal central idempotents.
 
-    Read from the reduction certificate (``has_reduction_property``): with Y
-    its irreducible pieces side by side, a basis of C^n as A holds I, the
-    idempotent of class c is p_c = Y_c (Y^-1)_c over the columns Y_c of that
-    class's pieces and the matching rows of Y^-1, the projection onto the
-    isotypic component along the others.  The centre is their span.
+    Read from the reduction certificate (``has_reduction_property``): over its
+    piece basis Z, a basis of C^n as A holds I, the idempotent of block c is
+    p_c = Z_c (Z^-1)_c over the columns Z_c of that block and the matching
+    rows of Z^-1, the projection onto the isotypic component along the
+    others.  The centre is their span.
     """
     from .modules import has_reduction_property
 
@@ -303,10 +303,9 @@ def center_and_minimal_central_idempotents(
     verdict, cert = has_reduction_property(A, seed, tol)
     if not verdict:
         raise StructurePreconditionError("central idempotents need a semisimple algebra")
-    Y = np.hstack([p.frame for p, _ in cert.pieces])
-    Y_inv = np.linalg.inv(Y)
-    labels = np.concatenate([[lab] * p.dim for p, lab in cert.pieces])
-    idems = [Y[:, labels == c] @ Y_inv[labels == c] for c in sorted(set(labels))]
+    owner = np.repeat(np.arange(len(cert.blocks)), [k * m for k, m in cert.blocks])
+    Z, Z_inv = cert.basis, cert.basis_inv
+    idems = [Z[:, owner == c] @ Z_inv[owner == c] for c in range(len(cert.blocks))]
     idems.sort(key=lambda p: rank_and_range(p, tol)[1].canonical_key())
     F = Subspace.from_spanning(np.reshape(idems, (len(idems), -1)).T, ambient=n * n, tol=tol)
     return _basis_from_frame(F.frame, n, unital=True), idems

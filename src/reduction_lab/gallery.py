@@ -216,19 +216,20 @@ def truncated_graph_example(k: int, decay: float) -> AlgebraBasis:
     """Doubled matrix algebra {diag(a, T a T^-1)} for T = diag(decay, ..., decay^k).
 
     S = diag(T^1/2, decay^((k+1)/2) T^-1/2) carries it onto {diag(b, b)}
-    with condition decay^(-(k-1)/2), and that is the similarity condition the
-    Wedderburn pipeline reports (its optimality is conjectured, not proven).
-    The basis norms run from 1 to decay^-(k-1); at k = 4 and seed 42 the
-    radical, the verdict and the similarity hold down to decay 0.005, and at
-    0.002 the pipeline's final *-closure check fails.
+    with condition kappa = decay^(-(k-1)/2), and that is the similarity
+    condition the Wedderburn pipeline reports.  The basis norms run from 1 to
+    decay^-(k-1); at k = 4 and seed 42 the pipeline holds down to decay
+    0.002, and at 0.001 the Kronecker fit of its similarity does not settle.
 
     Shrinking the decay drives the smallest singular value of T toward zero,
     and the projection constants over the graph submodules grow without
-    bound as the truncation sharpens.  The sampled lower bound of
-    ``projection_constant_estimate`` does not follow that trend below decay
-    0.1: at k = 4 and seed 42 it is 10.6952 at decay 0.1 but 5.8388 at 0.05.
-    It only sees the submodules it samples, which need not include the ones
-    that realise the growth.
+    bound as the truncation sharpens.  ``projection_constant_estimate``
+    follows that growth: its balanced graph submodule between the two copies
+    reads (kappa + 1/kappa) / 2, the most a least projection norm can be
+    under a similarity of condition kappa (Wielandt's inequality).  So that
+    is the projection constant K at level 1, and kappa is the least condition
+    of a similarity onto a *-algebra, which is at least K + sqrt(K^2 - 1);
+    both up to the minimiser's gap, not certified yet.
     """
     if k < 2:
         raise MalformedInputError("need k >= 2")

@@ -8,6 +8,7 @@ projections, projection-constant lower bounds, and inner-derivation solving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -189,11 +190,11 @@ def algebra_identity_element(
     return None if coeff is None else A.combine(coeff)
 
 
+_SPLIT_RETRIES = 40  # draws of ``_decompose`` before it gives up
+
+
 def irreducible_decomposition(
-    A: AlgebraBasis,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-    max_retries: int = 40,
+    A: AlgebraBasis, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> list[tuple[Subspace, int]]:
     """Direct-sum decomposition of C^n into irreducible submodules with class labels.
 
@@ -202,7 +203,7 @@ def irreducible_decomposition(
     Appl. Math. 27, 2010).  Each draw takes z at random in the commutant and
     spans each of its eigenvalue clusters once; the draw is kept when every
     piece has its cluster's dimension, is invariant and is irreducible, and is
-    made again otherwise, at most ``max_retries`` times.  The pieces are
+    made again otherwise, at most ``_SPLIT_RETRIES`` times.  The pieces are
     sorted by ``canonical_key`` and labelled by ``_class_labels``, which also
     certifies that they are irreducible.  The output order is deterministic.
     """
@@ -215,17 +216,18 @@ def irreducible_decomposition(
         raise StructurePreconditionError(
             "algebra acts degenerately; strip the annihilated complement first"
         )
-    return _decompose(A, commutant(A, tol), seed, tol, max_retries)
+    return _decompose(A, commutant(A, tol), seed, tol)
 
 
 def _decompose(
-    A: AlgebraBasis, C: AlgebraBasis, seed: int, tol: Tolerance, max_retries: int = 40
+    A: AlgebraBasis, C: AlgebraBasis, seed: int, tol: Tolerance
 ) -> list[tuple[Subspace, int]]:
-    """``irreducible_decomposition`` of a semisimple A acting nondegenerately,
-    given its commutant C; the preconditions are the caller's."""
+    """``irreducible_decomposition`` of a semisimple A, given its commutant C; the
+    preconditions are the caller's.  Directions that A annihilates come out as
+    one-dimensional pieces, all of one class."""
     n = A.ambient
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_SPLIT_RETRIES):
         evals, vecs = np.linalg.eig(C.combine(rng.standard_normal(C.dim)))
         clusters = eig_clusters(evals)
         pieces = [Subspace.from_spanning(vecs[:, cl], ambient=n, tol=tol) for cl in clusters]
@@ -306,68 +308,36 @@ def intertwiners(
     return IntertwinerSpace(source=V, target=W, basis=basis)
 
 
-def _module_projection_families(subspaces: list, comm: AlgebraBasis, tol: Tolerance):
-    """The least-Frobenius module projection onto each of ``subspaces`` and a basis
-    of its free directions, from one stacked SVD.
+def _module_projection_family(V: Subspace, comm: AlgebraBasis, tol: Tolerance):
+    """The least-Frobenius module projection p0 onto V and a basis D of its free
+    directions, as (p0, D) with D of shape (k, n, n); None when V admits no
+    module projection.
 
     ``comm`` is the commutant, whose basis is orthonormal in the Frobenius
     inner product.  A module projection onto V is p = sum_i y_i C_i over that
     basis with range inside V, (I - P_V) p = 0, that fixes V pointwise,
     p F = F for the frame F of V.  These rows are all at unit scale, whatever
     the scale of the algebra's basis, and there are only dim(commutant)
-    unknowns.  The systems of all V with 0 < dim V < n are stacked, their
-    frames zero-padded to the largest dimension; zero rows change neither the
-    least-squares solutions nor the null spaces.  One SVD gives each system's
-    rank at the rank tolerance, its least-norm y (the pseudo-inverse solution,
-    kept only under ``solve_consistent``'s residual test) and its null space
-    (the trailing right singular vectors).  As the C_i are orthonormal, the
-    least-norm y gives the least-Frobenius p0, and an orthonormal null space
-    gives Frobenius-orthonormal directions.
-
-    Returns (P0, D, counts): the p0 as a (W, n, n) stack and the directions as a
-    (W, k, n, n) stack, each subspace's counts[w] directions first and zeros
-    after; or None when some subspace admits no module projection.
+    unknowns.  One SVD gives the system's rank at the rank tolerance, its
+    least-norm y (the pseudo-inverse solution, kept only under
+    ``solve_consistent``'s residual test) and its null space (the trailing
+    right singular vectors).  As the C_i are orthonormal, the least-norm y
+    gives the least-Frobenius p0, and the orthonormal null space gives
+    Frobenius-orthonormal directions.
     """
     n = comm.ambient
+    if V.dim in (0, n):
+        return identity(n) * bool(V.dim), np.zeros((0, n, n), dtype=complex)
     C = np.reshape(comm.basis, (-1, n, n))
-    P0 = np.zeros((len(subspaces), n, n), dtype=complex)
-    P0[[V.dim == n for V in subspaces]] = identity(n)
-    counts = np.zeros(len(subspaces), dtype=int)
-    free = [w for w, V in enumerate(subspaces) if 0 < V.dim < n]
-    if not free:
-        return P0, np.zeros((len(subspaces), 0, n, n), dtype=complex), counts
-    F = np.zeros((len(free), n, max(subspaces[w].dim for w in free)), dtype=complex)
-    for row, w in enumerate(free):
-        F[row, :, : subspaces[w].dim] = subspaces[w].frame
-    perp = identity(n) - F @ F.conj().swapaxes(-1, -2)
-    M = np.concatenate([perp[:, None] @ C, C @ F[:, None]], axis=3).reshape(len(free), len(C), -1)
-    M = M.swapaxes(1, 2)
-    rhs = np.concatenate([np.zeros((len(free), n, n)), F], axis=2).reshape(len(free), -1)
+    M = np.concatenate([(identity(n) - V.projector()) @ C, C @ V.frame], axis=2)
+    M = M.reshape(len(C), -1).T
+    rhs = np.concatenate([np.zeros((n, n)), V.frame], axis=1).reshape(-1)
     U, sig, Vh = np.linalg.svd(M, full_matrices=False)
-    rank = np.array([_rank(s, tol) for s in sig])
-    keep = np.arange(len(C)) < rank[:, None]
-    inv = np.divide(1.0, sig, out=np.zeros_like(sig), where=keep)
-    y = np.einsum("wji,wj->wi", Vh.conj(), inv * np.einsum("wrj,wr->wj", U.conj(), rhs))
-    resid = np.linalg.norm(np.einsum("wrj,wj->wr", M, y) - rhs, axis=1)
-    if np.any(resid > tol.eq_eps * np.maximum(1.0, np.linalg.norm(rhs, axis=1))):
+    r = _rank(sig, tol)
+    y = Vh[:r].conj().T @ ((U[:, :r].conj().T @ rhs) / sig[:r])
+    if np.linalg.norm(M @ y - rhs) > tol.eq_eps * max(1.0, np.linalg.norm(rhs)):
         return None
-    counts[free] = len(C) - rank
-    N = np.zeros((len(free), counts.max(), len(C)), dtype=complex)
-    for row, r in enumerate(rank):
-        N[row, : len(C) - r] = Vh[row, r:].conj()
-    D = np.zeros((len(subspaces), counts.max(), n, n), dtype=complex)
-    P0[free], D[free] = np.tensordot(y, C, 1), np.tensordot(N, C, 1)
-    return P0, D, counts
-
-
-def _module_projection_family(V: Subspace, comm: AlgebraBasis, tol: Tolerance):
-    """``_module_projection_families`` of V alone: (p0, D) with D its (k, n, n)
-    directions, or None when no module projection exists."""
-    families = _module_projection_families([V], comm, tol)
-    if families is None:
-        return None
-    P0, D, counts = families
-    return P0[0], D[0, : counts[0]]
+    return np.tensordot(y, C, 1), np.tensordot(Vh[r:].conj(), C, 1)
 
 
 def module_complement(
@@ -377,7 +347,7 @@ def module_complement(
 
     The complement is the kernel of the least-Frobenius module projection
     onto V, solved in the coordinates of the commutant (see
-    ``_module_projection_families``).
+    ``_module_projection_family``).
     """
     if not invariant(V, A, tol):
         raise InvalidWitnessError("module complements need an invariant subspace")
@@ -394,11 +364,15 @@ class ReductionCertificate:
 
     For a yes the certificate is a Wedderburn block profile; for a no it is a
     nonzero radical element together with an invariant subspace that admits no
-    module complement.  A yes also carries to every later stage the internal
-    unit e, the kernel of e, the class-labelled irreducible pieces of range e
-    lifted to C^n, one intertwiner T per piece q (``homs``: b (q.frame T) =
-    (q.frame T)(F0* b F0) over the frame F0 of its class's first piece, whose
-    T is I) and the commutant of A, with a Frobenius-orthonormal basis.
+    module complement.  A yes also carries to every later stage the
+    class-labelled irreducible pieces on which A acts nonzero, one intertwiner
+    T per piece q (``homs``: b (q.frame T) = (q.frame T)(F0* b F0) over the
+    frame F0 of its class's first piece, whose T is I), the commutant of A,
+    with a Frobenius-orthonormal basis, and the piece basis Z = [Y_1 ... Y_r K]
+    with its inverse.  Y_c lays the pieces of the c-th of ``blocks`` side by
+    side, each composed with its intertwiner and interleaved, so that
+    b Y_c = Y_c (x kron I_mult); K is an orthonormal frame of the kernel of
+    the internal unit.  In the coordinates of Z, A is the literal block algebra.
     """
 
     verdict: bool
@@ -407,11 +381,92 @@ class ReductionCertificate:
     radical_element: np.ndarray | None = field(default=None, repr=False)
     witness: Subspace | None = None
     radical_dim: int = field(default=0, repr=False)
-    unit: np.ndarray | None = field(default=None, repr=False)
-    kernel: Subspace | None = field(default=None, repr=False)
     pieces: tuple = field(default=(), repr=False)
     homs: tuple = field(default=(), repr=False)
     commutant: AlgebraBasis | None = field(default=None, repr=False)
+    basis: np.ndarray | None = field(default=None, repr=False)
+    basis_inv: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def unit(self) -> np.ndarray | None:
+        """The internal unit e = Z diag(1, ..., 1, 0_d) Z^-1."""
+        if self.basis is None:
+            return None
+        r = len(self.basis) - self.degenerate_dim
+        return self.basis[:, :r] @ self.basis_inv[:r]
+
+    @property
+    def kernel(self) -> Subspace | None:
+        """The kernel of the internal unit, held by the last d columns of Z."""
+        if self.basis is None:
+            return None
+        return Subspace.from_frame(self.basis[:, len(self.basis) - self.degenerate_dim :])
+
+    @cached_property
+    def fits(self) -> tuple:
+        """The Kronecker fit (G_c, H_c) of each block's Gram matrix Y_c* Y_c
+        (``_kronecker_fit``), made on first use: a fit that does not settle
+        breaks the similarity and the estimate that share it, not the verdict."""
+        fits, at = [], 0
+        for k, mult in self.blocks:
+            Y = self.basis[:, at : at + k * mult]
+            fits.append(_kronecker_fit(Y.conj().T @ Y, k, mult))
+            at += k * mult
+        return tuple(fits)
+
+
+def _piece_basis(pieces: list, homs: list, K: np.ndarray) -> tuple:
+    """(blocks, Z, Z^-1) for the labelled ``pieces``, their intertwiners and the
+    frame K of the annihilated summand, as ``ReductionCertificate`` describes
+    them; a singular Z is a breakdown in stage 'block-similarity'."""
+    n = K.shape[0]
+    groups = []
+    for c in sorted({lab for _, lab in pieces}):
+        cols = [p.frame @ T for (p, lab), T in zip(pieces, homs) if lab == c]
+        groups.append((cols[0].shape[1], len(cols), np.stack(cols, axis=2).reshape(n, -1)))
+    groups.sort(key=lambda g: (-g[0], -g[1]))
+    Z = np.hstack([y for _, _, y in groups] + [K])
+    try:
+        Z_inv = np.linalg.inv(Z)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDegeneracyError(
+            "stage 'block-similarity': the pieces and the kernel of the unit are not a basis"
+        ) from exc
+    return tuple((k, mult) for k, mult, _ in groups), Z, Z_inv
+
+
+# The Kronecker fit stops when the multiplicity factor changes by less than
+# _KRON_FIT_TOL (relative) in one round.  Its rounds grow about as the square
+# root of the block's condition (1 100 at condition 1e3 on graph_truncation),
+# so the cap leaves room to condition 1e4 and more.
+_KRON_FIT_ITERS = 10000
+_KRON_FIT_TOL = 1e-12
+
+
+def _kronecker_fit(K: np.ndarray, k: int, mult: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive G (k x k) and H (mult x mult) with G kron H fitted to a positive
+    definite K of size k * mult.
+
+    The Gaussian maximum-likelihood fit, by the "flip-flop" iteration
+    (Dutilleul, J. Statist. Comput. Simul. 64, 1999): G is the H^-1-weighted
+    partial trace of K over the multiplicity factor, divided by mult, then H
+    the G^-1-weighted one over the other factor, divided by k.  It is equivariant:
+    K -> (g kron h)* K (g kron h) maps G, H to g* G g, h* H h (up to a scalar
+    moved between the factors).  Raises ``NumericalDegeneracyError`` when the
+    iteration has not settled after ``_KRON_FIT_ITERS`` rounds.
+    """
+    K4 = K.reshape(k, mult, k, mult)
+    H = identity(mult)
+    for _ in range(_KRON_FIT_ITERS):
+        G = np.einsum("ambn,nm->ab", K4, np.linalg.inv(H)) / mult
+        H_next = np.einsum("ambn,ba->mn", K4, np.linalg.inv(G)) / k
+        settled = np.linalg.norm(H_next - H) <= _KRON_FIT_TOL * np.linalg.norm(H_next)
+        H = H_next
+        if settled:
+            return G, H
+    raise NumericalDegeneracyError(
+        f"stage 'block-similarity': Kronecker fit did not settle in {_KRON_FIT_ITERS} rounds"
+    )
 
 
 def has_reduction_property(
@@ -426,12 +481,14 @@ def has_reduction_property(
     a breakdown in stage 'radical', with the invariance residual
     (``_invariance_residual``) as the margin.
 
-    A yes is the one structure pass of an analysis.  With R and K orthonormal
-    frames of the range and the kernel of the unit e, the restriction B of A
-    to range e is semisimple and holds its unit, so it is decomposed from its
-    commutant C with no further checks.  A' is C on range e and all of M_d on
-    ker e, which A annihilates: the span of R c R* e over C's basis and of
-    K_a K_b* (I - e), as e = R R* e and I - e = K K* (I - e).
+    A yes is the one structure pass of an analysis.  The commutant C of A is
+    solved once, and C^n is split by one ``_decompose`` draw from it.  A
+    annihilates the kernel of its internal unit e, where C holds all of M_d,
+    so that kernel comes out as d one-dimensional pieces of one class: those
+    that every generator b maps to at most eq_eps ||b||, a test relative to
+    each generator's own norm and so free of the basis scale.  The unit is
+    then e = Z diag(1, ..., 1, 0_d) Z^-1 over the piece basis Z (see
+    ``ReductionCertificate``), and A' is C.
     """
     n = A.ambient
     rad = radical(A, tol)
@@ -445,25 +502,16 @@ def has_reduction_property(
         return False, ReductionCertificate(
             False, radical_element=rad.basis[0], witness=witness, radical_dim=rad.dim
         )
-    e = algebra_identity_element(A, tol) if A.dim else np.zeros((n, n), dtype=complex)
-    if e is None:
-        raise NumericalDegeneracyError("semisimple algebra has no computable unit")
-    rank_e, range_e = rank_and_range(e, tol)
-    kernel = rank_and_range(identity(n) - e, tol)[1]
-    K = kernel.frame
-    spans = np.einsum("ia,jb->abij", K, K.conj()).reshape(-1, n, n) @ (identity(n) - e)
-    pieces, homs, first = [], [], {}
-    if rank_e:
-        R = range_e.frame
-        B = restriction_to_invariant(A, range_e, tol)
-        C = commutant(B, tol)
-        pieces = [
-            (Subspace.from_spanning(R @ p.frame, ambient=n, tol=tol), lab)
-            for p, lab in _decompose(B, C, seed, tol)
-        ]
-        lifted = R @ np.reshape(C.basis, (-1, rank_e, rank_e)) @ R.conj().T @ e
-        spans = np.concatenate([lifted, spans])
-    frame = Subspace.from_spanning(spans.reshape(-1, n * n).T, ambient=n * n, tol=tol).frame
+    C = commutant(A, tol)
+    B = _generating_stack(A)
+    norms = _opnorms(B)
+    pieces, kernel = [], [np.zeros((n, 0))]
+    for p, lab in _decompose(A, C, seed, tol):
+        if p.dim == 1 and np.all(np.linalg.norm(B @ p.frame, axis=(1, 2)) <= tol.eq_eps * norms):
+            kernel.append(p.frame)
+        else:
+            pieces.append((p, lab))
+    homs, first = [], {}
     for q, lab in pieces:
         if lab not in first:
             first[lab] = q
@@ -475,19 +523,18 @@ def has_reduction_property(
                 f"stage 'block-similarity': Hom between isomorphic pieces has dimension {tw.dim}"
             )
         homs.append(tw.basis[0])
-    labels = [lab for _, lab in pieces]
-    blocks = sorted({lab: (p.dim, labels.count(lab)) for p, lab in pieces}.values(), reverse=True)
+    blocks, Z, Z_inv = _piece_basis(pieces, homs, np.linalg.qr(np.hstack(kernel))[0])
     return True, ReductionCertificate(
-        True, tuple(blocks), n - rank_e, unit=e, kernel=kernel, pieces=tuple(pieces),
-        homs=tuple(homs), commutant=_basis_from_frame(frame, n, unital=True)
+        True, blocks, len(kernel) - 1, pieces=tuple(pieces), homs=tuple(homs), commutant=C,
+        basis=Z, basis_inv=Z_inv,
     )
 
 
 def _spectral_norm_minimiser(P0: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Minimise ||P0[w] + sum_j c_j D[w, j]|| over complex c, for each w of a (W, n, n)
     stack ``P0`` with (W, k, n, n) directions ``D``, zero-padded where the counts differ
-    (a zero direction keeps coefficient 0).  A 2-D ``P0`` with (k, n, n) ``D`` is a
-    stack of one, and gives a 2-D result.
+    (a zero direction keeps coefficient 0; a member with none is returned as it is).
+    A 2-D ``P0`` with (k, n, n) ``D`` is a stack of one, and gives a 2-D result.
 
     ||X|| <= t exactly when [[tI, X], [X*, tI]] >= 0, affine in t, Re c and Im c, so
     ``least_psd_shift`` solves the stack: barrier gap <= 1e-11 relative at exit; still
@@ -495,47 +542,33 @@ def _spectral_norm_minimiser(P0: np.ndarray, D: np.ndarray) -> np.ndarray:
     """
     if P0.ndim == 2:
         return _spectral_norm_minimiser(P0[None], D[None])[0]
-    k = D.shape[1]
-    if not k:
+    k, free = D.shape[1], D.any(axis=(1, 2, 3))
+    if not free.any():
         return P0
-    X = np.concatenate([P0[:, None], D, 1j * D], axis=1)
+    X = np.concatenate([P0[free, None], D[free], 1j * D[free]], axis=1)
     Z = np.zeros_like(X)
     F = np.block([[Z, X], [np.swapaxes(X, -1, -2).conj(), Z]])
     y = least_psd_shift(F[:, 0], F[:, 1:])
-    return P0 + np.einsum("wk,wkij->wij", y[:, :k] + 1j * y[:, k:], D)
-
-
-def _min_norm_module_projections(
-    subspaces: list, A: AlgebraBasis, comm: AlgebraBasis, tol: Tolerance
-) -> np.ndarray:
-    """Module projections of least operator norm onto each of ``subspaces``, stacked.
-
-    Each subspace gets its own commutant-coordinate system, all from one stacked
-    SVD (see ``_module_projection_families``); one ``_spectral_norm_minimiser``
-    call solves every subspace V with 0 < dim V < n (barrier gap <= 1e-11 relative
-    at exit; still reported uncertified because no dual value is reported), and one
-    batched check re-verifies each result there as an idempotent commuting with
-    the algebra.
-    """
-    n = A.ambient
-    families = _module_projection_families(subspaces, comm, tol)
-    if families is None:
-        raise NotComplementableError("subspace admits no module projection")
-    P, D, _ = families
-    free = [i for i, V in enumerate(subspaces) if 0 < V.dim < n]
-    if not free:
-        return P
-    p = _spectral_norm_minimiser(P[free], D[free])
-
-    scale = np.maximum(1.0, _opnorms(p))
-    if not np.all(_opnorms(p @ p - p) <= 1e-6 * scale**2):
-        raise NumericalDegeneracyError("minimiser drifted off the idempotent manifold")
-    B = np.reshape(A.basis, (-1, n, n))
-    drift = _opnorms(p[:, None] @ B - B @ p[:, None])
-    if not np.all(drift <= 1e-6 * scale[:, None] * np.maximum(1.0, _opnorms(B))):
-        raise NumericalDegeneracyError("minimiser drifted out of the commutant")
-    P[free] = p
+    P = P0.copy()
+    P[free] += np.einsum("wk,wkij->wij", y[:, :k] + 1j * y[:, k:], D[free])
     return P
+
+
+def _check_module_projections(P: np.ndarray, A: AlgebraBasis, what: str) -> None:
+    """Raise a breakdown in stage 'projection-constant' unless each p of the stack
+    ``P`` has ||p^2 - p|| <= 1e-6 max(1, ||p||)^2 and, for each b of A's
+    generating stack, ||pb - bp|| <= 1e-6 max(1, ||p||) max(1, ||b||)."""
+    scale = np.maximum(1.0, _opnorms(P))
+    B = _generating_stack(A)
+    drift = _opnorms(P[:, None] @ B - B @ P[:, None]) / np.maximum(1.0, _opnorms(B))
+    for fault, defect in (
+        ("are not idempotent", np.max(_opnorms(P @ P - P) / scale**2, initial=0.0)),
+        ("leave the commutant", np.max(drift / scale[:, None], initial=0.0)),
+    ):
+        if not defect <= 1e-6:
+            raise NumericalDegeneracyError(
+                f"stage 'projection-constant': {what} {fault} (defect {defect:.2e})"
+            )
 
 
 def min_norm_module_projection(
@@ -548,12 +581,17 @@ def min_norm_module_projection(
 
     Minimises over the affine family p0 + d with d in the commutant, range(d)
     inside V and d vanishing on V, solved in the coordinates of the
-    commutant (see ``_module_projection_families``); the result is re-verified
-    to be an idempotent commuting with the algebra, with range V.
+    commutant (see ``_module_projection_family``); the result is re-verified
+    to be an idempotent commuting with the algebra (``_check_module_projections``).
     """
     if not invariant(V, A, tol):
         raise InvalidWitnessError("need an invariant subspace")
-    return _min_norm_module_projections([V], A, commutant(A, tol), tol)[0]
+    family = _module_projection_family(V, commutant(A, tol), tol)
+    if family is None:
+        raise NotComplementableError("subspace admits no module projection")
+    p = _spectral_norm_minimiser(*family)
+    _check_module_projections(p[None], A, "the least-norm projection")
+    return p
 
 
 def projection_constant_estimate(
@@ -567,19 +605,17 @@ def projection_constant_estimate(
 
     When every isotypic class has multiplicity one and there are at most
     ``_LATTICE_MAX_ATOMS`` atoms (the irreducible pieces, and the kernel of the
-    internal unit when a summand is annihilated), the submodules built from
-    the atoms are their unions, each with exactly one module projection, and
-    the bound is the exact maximum of those norms.  With at most one
-    annihilated dimension this is the projection constant at level 1; with
-    more, it is the maximum over U + L for unions U of pieces and L either 0
-    or the whole annihilated summand.
+    internal unit when a summand is annihilated), the bound is the exact
+    maximum over the unions of the atoms, each with exactly one module
+    projection.  With at most one annihilated dimension this is the
+    projection constant at level 1; with more, it is the maximum over U + L
+    for unions U of pieces and L either 0 or the whole annihilated summand.
 
-    Otherwise it samples irreducible pieces, isotypic sums, and graph
-    subspaces built from intertwiners between isomorphic irreducible blocks,
-    and maximises the minimum projection norm.  The zero submodule is
-    excluded; the sampled number is a lower bound, never claimed as the
-    supremum.  Each minimum has barrier gap <= 1e-11 relative at exit; the
-    bound is still reported uncertified because no dual value is reported.
+    Otherwise it maximises the least projection norm over sampled
+    submodules (see ``_projection_constant_estimate``), a lower bound, never
+    claimed as the supremum.  Each least norm has barrier gap <= 1e-11
+    relative at exit; the bound is still reported uncertified because no
+    dual value is reported.
 
     With ``amplification=2`` the doubled module, whose classes all have
     multiplicity two, is sampled as well, covering graph submodules between
@@ -608,17 +644,6 @@ _LATTICE_MAX_ATOMS = 12
 _NORM_BATCH = 2**16
 
 
-def _lattice_atoms(cert: ReductionCertificate) -> list | None:
-    """The atoms of a yes-certificate whose submodules are the unions of at most
-    ``_LATTICE_MAX_ATOMS`` atoms: the pieces, all of distinct classes, and the
-    kernel of the unit when a summand is annihilated; None for any other."""
-    labels = [lab for _, lab in cert.pieces]
-    atoms = [p for p, _ in cert.pieces] + ([cert.kernel] if cert.degenerate_dim else [])
-    if len(set(labels)) == len(labels) and len(atoms) <= _LATTICE_MAX_ATOMS:
-        return atoms
-    return None
-
-
 def _projection_constant_estimate(
     A: AlgebraBasis,
     cert: ReductionCertificate,
@@ -626,126 +651,167 @@ def _projection_constant_estimate(
     seed: int,
     tol: Tolerance,
 ) -> tuple[float, list]:
-    """``projection_constant_estimate`` at amplification 1, given the reduction
-    certificate, whose commutant, kernel of the unit, pieces and piece
-    intertwiners it reads.
+    """``projection_constant_estimate`` at amplification 1, from the reduction
+    certificate's piece basis Z and its blocks' Kronecker fits.
 
-    A certificate with ``_lattice_atoms`` takes ``_lattice_projection_constant``;
-    every other one is sampled.  Pieces, isotypic sums and random unions are
-    all unions of pieces, each known by the set of pieces it joins, and a set
-    joined before is skipped; a union of several pieces is one span of their
-    stacked frames.  The graph subspaces between pieces i < j of a class take
-    the intertwiner homs[j] homs[i]^-1 at unit operator norm.  The whole space is skipped when
-    it is the union of all pieces, or the kernel of a zero unit.  One
-    ``_min_norm_module_projections`` pass solves every candidate, to a barrier
-    gap <= 1e-11 relative at exit; still reported uncertified because no dual
-    value is reported.
+    In the coordinates of Z a submodule is a subspace V_c of each block's
+    multiplicity space (C^d, the annihilated summand, is one more block), and
+    ``_closed_family`` writes down its module projections.  A
+    multiplicity-free certificate with at most ``_LATTICE_MAX_ATOMS`` atoms
+    takes ``_lattice_projection_constant``.  Any other takes the atoms and
+    graph candidates of ``_multiplicity_atoms``, each class's isotypic sum,
+    C^d, random unions of atoms (the seed's only use here) and the whole
+    space, the first ``samples`` of them, a union joined before skipped; one
+    ``_spectral_norm_minimiser`` call solves them all, and
+    ``_check_module_projections`` re-verifies each result.
     """
     if not cert.verdict:
         raise StructurePreconditionError("projection constants need the reduction property")
-    atoms = _lattice_atoms(cert)
-    if atoms is not None:
-        return _lattice_projection_constant(A, atoms, tol)
-    n = A.ambient
+    n, d, Z = A.ambient, cert.degenerate_dim, cert.basis
+    if all(m == 1 for _, m in cert.blocks) and len(cert.blocks) + bool(d) <= _LATTICE_MAX_ATOMS:
+        return _lattice_projection_constant(A, cert)
     rng = np.random.default_rng(seed)
-
-    candidates: list[Subspace] = []
+    layout = [*cert.blocks, (1, d)]
+    starts = np.cumsum([0] + [k * m for k, m in layout])
+    columns = [
+        _multiplicity_atoms(Z[:, at : at + k * m], k, m, *fit)
+        for (k, m), at, fit in zip(cert.blocks, starts, cert.fits)
+    ] + [identity(d)]
+    # an entry is a block and some of its columns above: the atoms, then the
+    # graph candidates, then the whole annihilated summand
+    atoms = [(c, [j]) for c, (_, m) in enumerate(cert.blocks) for j in range(m)]
+    graphs = [(c, [j]) for c, (_, m) in enumerate(cert.blocks) for j in range(m, len(columns[c].T))]
+    entries = atoms + graphs + [(len(cert.blocks), list(range(d)))]
+    candidates: list[list] = []
     joined: set[tuple] = set()
 
-    def add(s: Subspace) -> None:
-        if s.dim and invariant(s, A, tol):
-            candidates.append(s)
-
     def union(members: tuple) -> None:
-        if members in joined:
-            return
-        joined.add(members)
-        group = [cert.pieces[k][0] for k in members]
-        frames = np.hstack([p.frame for p in group])
-        add(group[0] if len(group) == 1 else Subspace.from_spanning(frames, ambient=n, tol=tol))
+        if members not in joined:
+            joined.add(members)
+            picked = [entries[i] for i in members]
+            candidates.append(
+                [X[:, sum((js for a, js in picked if a == c), [])] for c, X in enumerate(columns)]
+            )
 
-    for k in range(len(cert.pieces)):
-        union((k,))
-    by_label: dict[int, list[int]] = {}
-    for k, (_, lab) in enumerate(cert.pieces):
-        by_label.setdefault(lab, []).append(k)
-    for members in by_label.values():
-        union(tuple(members))
-    # graph subspaces between isomorphic pieces
-    for members in by_label.values():
-        for a, i in enumerate(members):
-            for j in members[a + 1 :]:
-                T = cert.homs[j] @ np.linalg.inv(cert.homs[i])
-                T = T / max(operator_norm(T), 1e-30)
-                for lam in (1.0, *(rng.uniform(0.3, 3.0, size=3))):
-                    cols = cert.pieces[i][0].frame + lam * (cert.pieces[j][0].frame @ T)
-                    add(Subspace.from_spanning(cols, ambient=n, tol=tol))
-    if cert.degenerate_dim:
-        # the annihilated summand (everything, for a zero unit) is the kernel
-        # of the internal unit, which is skew against its range in general
-        add(cert.kernel)
-    # random unions of pieces (a bounded number of draws)
-    if len(cert.pieces) > 1:
+    r = len(atoms)
+    for i in range(r):
+        union((i,))
+    for c in range(len(cert.blocks)):
+        union(tuple(i for i, (a, _) in enumerate(atoms) if a == c))
+    for i in range(r, len(entries) - (not d)):
+        union((i,))
+    if r > 1:
         for _ in range(2 * samples):
             if len(candidates) >= samples:
                 break
-            mask = rng.integers(0, 2, size=len(cert.pieces))
+            mask = rng.integers(0, 2, size=r)
             if mask.any():
                 union(tuple(np.flatnonzero(mask).tolist()))
-    everything = tuple(range(len(cert.pieces)))
-    if not (cert.degenerate_dim == n or (not cert.degenerate_dim and everything in joined)):
-        add(Subspace.full(n))
+    union(tuple(range(r)) + ((len(entries) - 1,) if d else ()))
 
     candidates = candidates[: max(samples, 1)]
-    norms = _opnorms(_min_norm_module_projections(candidates, A, cert.commutant, tol)).tolist()
-    witnesses = sorted(zip(candidates, norms), key=lambda t: -t[1])
-    return max(norms), witnesses
+    families = [_closed_family(Z, cert.basis_inv, layout, starts, V) for V in candidates]
+    D = np.zeros((len(families), max(len(f[1]) for f in families), n, n), dtype=complex)
+    for w, (_, Dw, _) in enumerate(families):
+        D[w, : len(Dw)] = Dw
+    P = _spectral_norm_minimiser(np.array([f[0] for f in families]), D)
+    _check_module_projections(P, A, "the least-norm projections")
+    witnesses = sorted(zip([f[2] for f in families], _opnorms(P).tolist()), key=lambda t: -t[1])
+    return witnesses[0][1], witnesses
 
 
-def _lattice_projection_constant(
-    A: AlgebraBasis, atoms: list, tol: Tolerance
-) -> tuple[float, list]:
-    """The largest norm of a module projection onto a union of ``atoms``, and its
+def _multiplicity_atoms(Y: np.ndarray, k: int, m: int, G: np.ndarray, H: np.ndarray):
+    """The canonical atoms, then the graph candidates, of a block Y (n x km) with
+    Kronecker fit G kron H, as columns in its multiplicity coordinates (I_1
+    when m = 1).  For Y~ = Y (G^-1/2 kron H^-1/2), the atoms are H^-1/2 b_j
+    over the eigenvectors b_1, ..., b_m (ascending) of the multiplicity-side
+    factor of the second operator-Schmidt term of Y~* Y~, a singular term of
+    its realignment (Van Loan & Pitsianis, 1993); the graph candidates are
+    H^-1/2 (b_1 + w b_m) for w in 1, i, -1, -i.  Other pieces, Y (I kron h),
+    give h^-1 times these atoms, the same submodules of C^n; only the
+    relative phase of b_1 and b_m is left to roundoff.
+    """
+    if m == 1:
+        return identity(1)
+    w, U = np.linalg.eigh(G)
+    v, W = np.linalg.eigh(H)
+    H_root_inv = (W / np.sqrt(v)) @ W.conj().T
+    Yt = Y @ np.kron((U / np.sqrt(w)) @ U.conj().T, H_root_inv)
+    R = (Yt.conj().T @ Yt).reshape(k, m, k, m).transpose(0, 2, 1, 3).reshape(k * k, m * m)
+    X = np.linalg.svd(R)[2][1].reshape(m, m)
+    # the terms of a Hermitian matrix are Hermitian up to one phase each
+    X = X * np.exp(-0.5j * np.angle(np.trace(X @ X)))
+    b = np.linalg.eigh(X + X.conj().T)[1]
+    graphs = b[:, :1] + np.array([1, 1j, -1, -1j]) * b[:, -1:]
+    return H_root_inv @ np.hstack([b, graphs])
+
+
+def _closed_family(Z: np.ndarray, Z_inv: np.ndarray, layout: list, starts, V: list) -> tuple:
+    """(p0, D, witness) for the submodule whose multiplicity subspaces are
+    spanned by the columns of V, one matrix per block of ``layout`` (at column
+    ``starts`` of Z): the least-Frobenius module projection, a
+    Frobenius-orthonormal basis of its free directions (none when that
+    projection already has norm 1), and the submodule.
+    With F, F' orthonormal frames of V_c and its complement, the family is
+    q_c = F F* plus I_k kron v u* for v in F, u in F', and
+    Z (I_k kron v u*) Z^-1 is the sum over i of (Y_i v)(u* W_i), over the
+    column blocks Y_i of the block's part of Z and the row blocks W_i of Z^-1."""
+    n = len(Z)
+    P0 = np.zeros((n, n), dtype=complex)
+    spans, dirs = [np.zeros((n, 0))], [np.zeros((0, n, n), dtype=complex)]
+    for (k, m), at, X in zip(layout, starts, V):
+        if not m:
+            continue
+        s, F = X.shape[1], np.linalg.qr(X, mode="complete")[0]
+        Y = Z[:, at : at + k * m].reshape(n, k, m) @ F[:, :s]
+        W = F.conj().T @ Z_inv[at : at + k * m].reshape(k, m, n)
+        P0 += np.einsum("nia,iaq->nq", Y, W[:, :s])
+        spans.append(Y.reshape(n, -1))
+        dirs.append(np.einsum("nia,ibq->abnq", Y, W[:, s:]).reshape(-1, n, n))
+    D = np.concatenate(dirs)
+    witness = Subspace.from_frame(np.linalg.qr(np.hstack(spans))[0])
+    if not len(D):
+        return P0, D, witness
+    Q = np.linalg.qr(D.reshape(len(D), -1).T)[0]
+    p0 = P0.reshape(-1)
+    p0 = (p0 - Q @ (Q.conj().T @ p0)).reshape(n, n)
+    # no nonzero idempotent has norm below 1, so a p0 of norm 1 is least
+    if operator_norm(p0) <= 1 + 1e-12:
+        return p0, D[:0], witness
+    return p0, Q.T.reshape(-1, n, n), witness
+
+
+def _lattice_projection_constant(A: AlgebraBasis, cert: ReductionCertificate):
+    """The largest norm of a module projection onto a union of atoms, and its
     witnesses: the maximising union, then the atoms, by descending norm.
 
-    The atoms are invariant subspaces, pairwise non-isomorphic as modules,
-    whose direct sum is C^n, so a union U has exactly one module projection,
-    P_U = S diag(1_U) S^-1 over the atom frames S laid side by side.  As
-    ||I - P|| = ||P|| for an idempotent P != 0, I (Kato, Numer. Math. 2, 1960;
-    Szyld, Numer. Algorithms 42, 2006), only the 2^(r-1) - 1 proper unions
-    holding atom 0 are formed, and batched ``_opnorms`` calls take their
-    norms; the bound is max(1, their maximum), the whole space giving 1.
+    The atoms are the blocks of the piece basis Z, each one irreducible piece
+    of its own class, and the annihilated summand when d > 0; pairwise
+    non-isomorphic, so a union U has exactly one module projection,
+    P_U = Z diag(1_U) Z^-1.  As ||I - P|| = ||P|| for an idempotent P != 0, I
+    (Kato, Numer. Math. 2, 1960; Szyld, Numer. Algorithms 42, 2006), only the
+    2^(r-1) - 1 proper unions holding atom 0 are formed, and batched
+    ``_opnorms`` calls take their norms; the bound is max(1, their maximum),
+    the whole space giving 1.
 
-    The r atom projections are checked first with the minimiser's 1e-6 gates:
-    each is idempotent and commutes with the algebra's generating stack, and
-    together they sum to I.  A failed check, or atom frames that do not make
-    an invertible S, raises ``NumericalDegeneracyError``.
+    The r atom projections pass the minimiser's gates first
+    (``_check_module_projections``), and must sum to I to 1e-6.
     """
-    n, r = A.ambient, len(atoms)
-    S = np.hstack([V.frame for V in atoms])
-    try:
-        S_inv = np.linalg.inv(S)
-    except np.linalg.LinAlgError as exc:
+    n, Z, Z_inv = A.ambient, cert.basis, cert.basis_inv
+    sizes = [k for k, _ in cert.blocks] + ([cert.degenerate_dim] if cert.degenerate_dim else [])
+    r = len(sizes)
+    owner = np.repeat(np.arange(r), sizes)
+    P = (Z * (owner == np.arange(r)[:, None])[:, None]) @ Z_inv
+    _check_module_projections(P, A, "the atom projections")
+    defect = operator_norm(P.sum(axis=0) - identity(n))
+    if not defect <= 1e-6:
         raise NumericalDegeneracyError(
-            "stage 'projection-constant': the atoms are not a direct sum of C^n"
-        ) from exc
-    owner = np.repeat(np.arange(r), [V.dim for V in atoms])
-    P = (S * (owner == np.arange(r)[:, None])[:, None]) @ S_inv
-    atom_norms = _opnorms(P)
-    scale = np.maximum(1.0, atom_norms)
-    B = _generating_stack(A)
-    drift = _opnorms(P[:, None] @ B - B @ P[:, None]) / np.maximum(1.0, _opnorms(B))
-    for what, defect in (
-        ("are not idempotent", np.max(_opnorms(P @ P - P) / scale**2)),
-        ("leave the commutant", np.max(drift / scale[:, None], initial=0.0)),
-        ("do not sum to I", operator_norm(P.sum(axis=0) - identity(n))),
-    ):
-        if not defect <= 1e-6:
-            raise NumericalDegeneracyError(
-                f"stage 'projection-constant': the atom projections {what} (defect {defect:.2e})"
-            )
+            f"stage 'projection-constant': the atom projections do not sum to I "
+            f"(defect {defect:.2e})"
+        )
 
-    witnesses = list(zip(atoms, atom_norms.tolist()))
+    atoms = [Subspace.from_frame(Z[:, owner == a]) for a in range(r)]
+    witnesses = list(zip(atoms, _opnorms(P).tolist()))
     bound = 1.0
     if r > 1:
         # bit k of a union's number is atom k: atom 0 is always in, and the
@@ -754,12 +820,12 @@ def _lattice_projection_constant(
         cols = ((unions[:, None] >> owner) & 1).astype(bool)
         rows = max(1, _NORM_BATCH // n**2)
         norms = np.concatenate(
-            [_opnorms((S * cols[i : i + rows, None]) @ S_inv) for i in range(0, len(cols), rows)]
+            [_opnorms((Z * cols[i : i + rows, None]) @ Z_inv) for i in range(0, len(cols), rows)]
         )
         best = int(np.argmax(norms))
         bound = max(1.0, float(norms[best]))
         if best:
-            union = Subspace.from_spanning(S[:, cols[best]], ambient=n, tol=tol)
+            union = Subspace.from_frame(np.linalg.qr(Z[:, cols[best]])[0])
             witnesses.insert(0, (union, float(norms[best])))
     return bound, sorted(witnesses, key=lambda t: -t[1])
 

@@ -54,14 +54,6 @@ __all__ = [
     "similarity_bound_report",
 ]
 
-# The Kronecker fit stops when the multiplicity factor changes by less than
-# _KRON_FIT_TOL (relative) in one round.  Its rounds grow about as the square
-# root of the block's condition (1 100 at condition 1e3 on graph_truncation),
-# so the cap leaves room to condition 1e4 and more.
-_KRON_FIT_ITERS = 10000
-_KRON_FIT_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class SimilarityReport:
     """An invertible matrix, its inverse, and the condition value ||S|| ||S^-1||,
@@ -76,11 +68,6 @@ class SimilarityReport:
         S = as_matrix(S)
         sig = np.linalg.svd(S, compute_uv=False)
         return SimilarityReport(S=S, S_inv=np.linalg.inv(S), condition=float(sig[0] / sig[-1]))
-
-    @staticmethod
-    def identity(n: int) -> "SimilarityReport":
-        I = identity(n)
-        return SimilarityReport(S=I, S_inv=I.copy(), condition=1.0)
 
     def conjugate(self, M: np.ndarray) -> np.ndarray:
         return self.S @ M @ self.S_inv
@@ -266,44 +253,18 @@ def _self_adjointness_defect(conj: list, tol: Tolerance) -> float:
     return float(np.max(resid / np.maximum(1.0, np.linalg.norm(V, axis=0))))
 
 
-def _kronecker_fit(K: np.ndarray, k: int, mult: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positive G (k x k) and H (mult x mult) with G kron H fitted to a positive
-    definite K of size k * mult.
-
-    The Gaussian maximum-likelihood fit, by the "flip-flop" iteration
-    (Dutilleul, J. Statist. Comput. Simul. 64, 1999): G is the H^-1-weighted
-    partial trace of K over the multiplicity factor, divided by mult, then H
-    the G^-1-weighted one over the other factor, divided by k.  It is equivariant:
-    K -> (g kron h)* K (g kron h) maps G, H to g* G g, h* H h (up to a scalar
-    moved between the factors).  Raises ``NumericalDegeneracyError`` when the
-    iteration has not settled after ``_KRON_FIT_ITERS`` rounds.
-    """
-    K4 = K.reshape(k, mult, k, mult)
-    H = identity(mult)
-    for _ in range(_KRON_FIT_ITERS):
-        G = np.einsum("ambn,nm->ab", K4, np.linalg.inv(H)) / mult
-        H_next = np.einsum("ambn,ba->mn", K4, np.linalg.inv(G)) / k
-        settled = np.linalg.norm(H_next - H) <= _KRON_FIT_TOL * np.linalg.norm(H_next)
-        H = H_next
-        if settled:
-            return G, H
-    raise NumericalDegeneracyError(
-        f"stage 'block-similarity': Kronecker fit did not settle in {_KRON_FIT_ITERS} rounds"
-    )
-
-
 def wedderburn_similarity(
     A: AlgebraBasis, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> WedderburnProfile:
     """Similarity carrying a reduction algebra onto a self-adjoint block algebra.
 
-    From the reduction certificate's unit e, the kernel of e and the labelled
-    irreducible pieces: per isotypic block, lay the pieces side by side as
-    Y_i, each composed with the certificate's intertwiner from the first
-    piece of its class, so that b Y_i = Y_i (x kron I_mult); with K the
-    certificate's orthonormal frame of ker e, the similarity is
-    S = diag(G_1^1/2 kron H_1^1/2, ..., G_r^1/2 kron H_r^1/2, I_d) [Y K]^-1
-    for the Kronecker fits G_i kron H_i of Y_i* Y_i (see ``_kronecker_fit``).
+    From the reduction certificate's piece basis Z = [Y_1 ... Y_r K]: Y_i lays
+    the pieces of isotypic block i side by side, each composed with the
+    certificate's intertwiner from the first piece of its class, so that
+    b Y_i = Y_i (x kron I_mult), and K is an orthonormal frame of the kernel
+    of the internal unit e.  The similarity is
+    S = diag(G_1^1/2 kron H_1^1/2, ..., G_r^1/2 kron H_r^1/2, I_d) Z^-1
+    for the Kronecker fits G_i kron H_i of Y_i* Y_i (``ReductionCertificate.fits``).
     The blocks land on leading coordinates, (dimension, multiplicity)
     descending, the annihilated summand last.  Renorming e first
     (``renorm_from_projection``) and Dixmier-averaging the central
@@ -319,44 +280,16 @@ def _wedderburn_similarity(
     A: AlgebraBasis, cert: ReductionCertificate, tol: Tolerance
 ) -> WedderburnProfile:
     """``wedderburn_similarity`` from the algebra's reduction certificate, whose
-    unit, kernel of the unit, pieces and piece intertwiners it reads (it draws
+    piece basis, its inverse and its blocks' Kronecker fits it reads (it draws
     no random numbers and solves for no intertwiner)."""
-    n = A.ambient
     if not cert.verdict:
         raise StructurePreconditionError("algebra does not have the reduction property")
-    if A.dim == 0:
-        return WedderburnProfile(
-            blocks=tuple(), degenerate_dim=n, similarity=SimilarityReport.identity(n)
-        )
-
-    e = cert.unit
-    if operator_norm(e @ e - e) > tol.eq_eps * max(1.0, operator_norm(e)) ** 2:
-        raise NumericalDegeneracyError("stage 'degenerate-split': unit is not idempotent")
-    K = cert.kernel.frame
-
-    # per isotypic block, the pieces side by side, each composed with its
-    # intertwiner from the first (``cert.homs``) and interleaved so that
-    # b Y = Y (x kron I_mult); blocks in layout order, (dimension,
-    # multiplicity) descending
-    groups = []
-    for c in sorted({lab for _, lab in cert.pieces}):
-        cols = [p.frame @ T for (p, lab), T in zip(cert.pieces, cert.homs) if lab == c]
-        groups.append((cols[0].shape[1], len(cols), np.stack(cols, axis=2).reshape(n, -1)))
-    groups.sort(key=lambda g: (-g[0], -g[1]))
-
-    # [Y K]^-1 alone carries block i onto x kron I_mult on its coordinates
-    # and the annihilated summand onto the last ones; G^1/2 kron H^1/2 on the
-    # block's rows keeps that layout and brings the condition down, for the
-    # Kronecker fit G kron H of the block's Gram matrix Y_i* Y_i
-    try:
-        S = np.linalg.inv(np.hstack([y for _, _, y in groups] + [K]))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(
-            "stage 'block-similarity': the pieces and the kernel of the unit are not a basis"
-        ) from exc
+    # Z^-1 alone carries block i onto x kron I_mult on its coordinates and the
+    # annihilated summand onto the last ones; G^1/2 kron H^1/2 on the block's
+    # rows keeps that layout and brings the condition down
+    S = cert.basis_inv.copy()
     at = 0
-    for k, mult, y in groups:
-        G, H = _kronecker_fit(y.conj().T @ y, k, mult)
+    for (k, mult), (G, H) in zip(cert.blocks, cert.fits):
         root = np.kron(matrix_sqrt_positive(G, tol), matrix_sqrt_positive(H, tol))
         S[at : at + k * mult] = root @ S[at : at + k * mult]
         at += k * mult
@@ -368,9 +301,7 @@ def _wedderburn_similarity(
             f"stage 'final-check': conjugated span is not *-closed (defect {defect:.2e})"
         )
     return WedderburnProfile(
-        blocks=tuple((k, mult) for k, mult, _ in groups),
-        degenerate_dim=K.shape[1],
-        similarity=similarity,
+        blocks=cert.blocks, degenerate_dim=cert.degenerate_dim, similarity=similarity
     )
 
 

@@ -12,6 +12,7 @@ from reduction_lab.algebra import AlgebraBasis, bicommutant, commutant, span_equ
 from reduction_lab.cli import SEED_ENV_VAR, analysis_report, build_parser, main
 from reduction_lab.gallery import a_lambda, truncated_graph_example
 from reduction_lab.linalg import operator_norm
+from reduction_lab.modules import projection_constant_estimate
 from reduction_lab.sampling import block_algebra_basis, random_invertible, random_semisimple_algebra
 from reduction_lab.tolerance import DEFAULT_TOL
 
@@ -205,9 +206,10 @@ class TestAnalysisReport:
         ids=["truncated_graph_example(4, 0.5)", "a_lambda(2.0)", "M2+C2+0_1"],
     )
     def test_radical_and_unit_computed_once(self, monkeypatch, make, copies):
-        # one structure pass: the radical of A, the unit, the commutant of
-        # the restriction to the unit's range (never of A) and one Hom solve
-        # per later copy of each class; every later stage reads the certificate
+        # one structure pass: the radical of A, no unit solve (the unit is read
+        # from the decomposition), one commutant, of A itself, and m - 1 Hom
+        # solves per class of multiplicity m; every later stage reads the
+        # certificate
         A = make()
         radical_args, unit_args, commutant_args, hom_args = [], [], [], []
         record_calls(monkeypatch, algebra.radical, radical_args)
@@ -217,11 +219,35 @@ class TestAnalysisReport:
         report = analysis_report(A, seed=42, samples=24, tol=DEFAULT_TOL)
         assert report["reduction_property"]["verdict"] is True
         assert len(radical_args) == 1 and radical_args[0] is A
-        assert len(unit_args) == 1
-        assert len(commutant_args) == 1 and commutant_args[0] is not A
-        degenerate = report["reduction_property"]["certificate"]["degenerate_dimension"]
-        assert commutant_args[0].ambient == A.ambient - degenerate
+        assert unit_args == []
+        assert len(commutant_args) == 1 and commutant_args[0] is A
         assert len(hom_args) == copies
+
+    def test_m16_analyze_peak_memory(self, tmp_path):
+        # a fresh process, so that the peak is this analysis's and not the
+        # test run's; the unit's n^6 least-squares system once took 1.3 GiB
+        n = 16
+        path = tmp_path / "m16.json"
+        clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+        write_spec(path, n, [clock, np.roll(np.eye(n, dtype=complex), 1, axis=0)], True)
+        script = (
+            "import contextlib, io, resource, sys\n"
+            "from reduction_lab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['analyze', sys.argv[1]])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env=child_env(OPENBLAS_NUM_THREADS="2"),
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, maxrss_kib = map(int, proc.stdout.split())
+        assert code == 0
+        assert maxrss_kib * 1024 < 2**29  # 0.5 GiB
 
     def test_bicommutant_at_the_reach_edge(self, capsys):
         # the closed form A'' = A (no annihilated summand) where the solved
@@ -298,7 +324,11 @@ class TestGallery:
         assert report["wedderburn_profile"] == [[3, 2]]
 
     @pytest.mark.parametrize(
-        "k, decay", [(4, 0.5), (4, 0.2), (4, 0.1), (4, 0.02), (4, 0.01), (4, 0.005), (6, 0.1)]
+        "k, decay",
+        [
+            (4, 0.5), (4, 0.2), (4, 0.1), (4, 0.02), (4, 0.01), (4, 0.005),
+            (4, 0.004), (4, 0.003), (4, 0.002), (6, 0.1),
+        ],
     )
     def test_graph_truncation_condition(self, capsys, k, decay):
         # the condition of S = diag(T^1/2, decay^((k+1)/2) T^-1/2), which
@@ -328,12 +358,54 @@ class TestGallery:
         assert condition == pytest.approx(0.02**-1.5, rel=1e-6)
 
     def test_graph_truncation_breakdown_names_stage(self, capsys):
-        # past the reach at k = 4 (decay 0.005) the final *-closure check fails
+        # past the reach at k = 4 (decay 0.002) the Kronecker fit does not
+        # settle within its round cap
         code, out, err = run(
-            capsys, ["gallery", "graph_truncation", "--k", "4", "--decay", "0.002", "--quick"]
+            capsys, ["gallery", "graph_truncation", "--k", "4", "--decay", "0.001", "--quick"]
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: stage 'final-check'")
+        assert err.startswith("error: stage 'block-similarity': Kronecker fit did not settle")
+
+    @pytest.mark.parametrize("decay", [0.5, 0.2, 0.1, 0.02])
+    def test_graph_truncation_bound_is_closed_form(self, decay):
+        # the balanced graph submodule between the two copies reaches
+        # (kappa + 1/kappa) / 2, Wielandt's bound for the similarity of
+        # condition kappa = decay^(-3/2)
+        kappa = decay**-1.5
+        bound, _ = projection_constant_estimate(truncated_graph_example(4, decay), seed=42)
+        assert bound == pytest.approx((kappa + 1 / kappa) / 2, rel=1e-6)
+
+    def test_graph_truncation_bound_grows(self):
+        bounds = [
+            projection_constant_estimate(truncated_graph_example(4, d), seed=42)[0]
+            for d in (0.5, 0.3, 0.2, 0.1, 0.05, 0.02)
+        ]
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+
+    def test_graph_truncation_bound_free_of_threads_seed_and_scale(self):
+        # k = 6 at decay 0.1, (kappa + 1/kappa) / 2 for kappa = 10^2.5, with
+        # 1 and 2 BLAS threads, at two analysis seeds and three basis scales
+        script = (
+            "from reduction_lab.algebra import AlgebraBasis\n"
+            "from reduction_lab.gallery import truncated_graph_example\n"
+            "from reduction_lab.modules import projection_constant_estimate\n"
+            "A = truncated_graph_example(6, 0.1)\n"
+            "for seed in (1, 2):\n"
+            "    for s in (1e-6, 1.0, 1e6):\n"
+            "        B = AlgebraBasis(A.ambient, [s * b for b in A.basis], unital=True)\n"
+            "        print(projection_constant_estimate(B, seed=seed)[0])\n"
+        )
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=child_env(OPENBLAS_NUM_THREADS=threads),
+                timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            bounds = [float(v) for v in proc.stdout.split()]
+            assert bounds == pytest.approx([158.11546] * 6, rel=1e-6)
 
     @pytest.mark.parametrize("decay", ["0.0003", "0.0002", "0.0001"])
     def test_non_invariant_no_witness_is_a_breakdown(self, capsys, decay):
@@ -476,3 +548,22 @@ class TestBatchedSummandLoops:
         assert code == 0
         assert json.loads(out)["wedderburn_profile"] == [[1, 1]] * 6
         assert len(calls) < 158 / 2
+
+
+class TestBenchmarkCases:
+    def test_workload_reports_pass_the_benchmark_checks(self, capsys, monkeypatch, tmp_path):
+        # every case of both benchmark workloads at workload seed 1, run
+        # through the CLI and the benchmark's own report checks, so that a
+        # change the benchmark would refuse fails here first
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        from checks import check_report
+
+        problems = []
+        for name in sorted(workloads.WORKLOADS):
+            (tmp_path / name).mkdir()
+            for case in workloads.build(name, 1, tmp_path / name):
+                code, out, err = run(capsys, list(case.argv))
+                assert code == 0, f"{case.name}: {err}"
+                problems += check_report(case, json.loads(out))
+        assert problems == []

@@ -573,7 +573,7 @@ class TestMinNormProjection:
         A = truncated_graph_example(4, decay)
         comm = commutant(A)
         subspaces = [V for V, _ in projection_constant_estimate(A, seed=42)[1]]
-        P = modules._min_norm_module_projections(subspaces, A, comm, DEFAULT_TOL)
+        P = [min_norm_module_projection(V, A) for V in subspaces]
         ring = np.exp(2j * np.pi * np.arange(16) / 16)
         checked = 0
         for V, p in zip(subspaces, P):
@@ -671,10 +671,14 @@ def conjugated_diagonal(n, rng, zeros=0):
 class TestLatticeProjectionConstant:
     @staticmethod
     def estimate(A, seed=0):
-        """(bound, witnesses, whether the lattice route ran)."""
+        """(bound, witnesses, whether the lattice route ran): it runs when every
+        multiplicity is one and the atoms, the pieces and the annihilated
+        summand if any, number at most the cap."""
         cert = has_reduction_property(A, seed)[1]
         bound, witnesses = modules._projection_constant_estimate(A, cert, 24, seed, DEFAULT_TOL)
-        return bound, witnesses, modules._lattice_atoms(cert) is not None
+        atoms = len(cert.blocks) + bool(cert.degenerate_dim)
+        lattice = all(m == 1 for _, m in cert.blocks) and atoms <= modules._LATTICE_MAX_ATOMS
+        return bound, witnesses, lattice
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_conjugated_diagonal_against_every_mask(self, rng, n):
@@ -720,7 +724,7 @@ class TestLatticeProjectionConstant:
                 for size in range(1, len(atoms))
                 for members in itertools.combinations(range(len(atoms)), size)
             ]
-            P = modules._min_norm_module_projections(unions, A, commutant(A), DEFAULT_TOL)
+            P = np.array([min_norm_module_projection(U, A) for U in unions])
             bound, _, lattice = self.estimate(A)
             assert lattice
             assert bound == pytest.approx(max(1.0, *_opnorms(P)), rel=1e-9)
@@ -743,26 +747,21 @@ class TestLatticeProjectionConstant:
         assert sampled <= exact * (1 + 1e-9)
 
     @pytest.mark.parametrize("corrupt", ["skewed-piece", "repeated-piece", "inverse-row"])
-    def test_corrupted_atom_projection_is_caught(self, monkeypatch, corrupt):
-        # one atom projection off: a piece that is not invariant, a piece given
-        # twice, or one row of S^-1 moved, which breaks idempotency
+    def test_corrupted_atom_projection_is_caught(self, corrupt):
+        # one atom projection off, through the piece basis Z = [p q]: a piece
+        # that is not invariant (with Z^-1 its true inverse), a piece given
+        # twice, or one row of Z^-1 moved, which breaks idempotency
         A = a_lambda(2.0)
         cert = has_reduction_property(A)[1]
-        (p, a), (q, b) = cert.pieces
+        Z, Z_inv = cert.basis.copy(), cert.basis_inv.copy()
         if corrupt == "skewed-piece":
-            skewed = Subspace.from_spanning(p.frame + 1e-3 * q.frame)
-            cert = dataclasses.replace(cert, pieces=((skewed, a), (q, b)))
+            Z[:, 0] += 1e-3 * Z[:, 1]
+            Z_inv = np.linalg.inv(Z)
         elif corrupt == "repeated-piece":
-            cert = dataclasses.replace(cert, pieces=((p, a), (p, b)))
+            Z[:, 1] = Z[:, 0]
         else:
-            inv = np.linalg.inv
-
-            def perturbed(M):
-                X = inv(M)
-                X[-1] += 1e-3
-                return X
-
-            monkeypatch.setattr(np.linalg, "inv", perturbed)
+            Z_inv[-1] += 1e-3
+        cert = dataclasses.replace(cert, basis=Z, basis_inv=Z_inv)
         with pytest.raises(NumericalDegeneracyError, match="stage 'projection-constant'"):
             modules._projection_constant_estimate(A, cert, 24, 0, DEFAULT_TOL)
 
@@ -885,8 +884,8 @@ class TestHatRepresentation:
 
 
 def per_item_family(V, comm, tol=DEFAULT_TOL):
-    """The per-subspace module-projection family that the stacked SVD replaced:
-    one lstsq for the least-norm coefficients and one null space per subspace."""
+    """A reference module-projection family: one lstsq for the least-norm
+    coefficients and one null space."""
     n = V.ambient
     if V.dim in (0, n):
         p0 = np.zeros((n, n), dtype=complex) if V.dim == 0 else np.eye(n, dtype=complex)
@@ -1028,31 +1027,32 @@ class TestBatchedSummandLoops:
         ids=["truncated_graph_example(4, 0.2)", "a_lambda(2.0)", "M2 x I2", "C^2 + 0_2"],
     )
     def test_stacked_families_match_per_item(self, make):
+        # the one-SVD family of each subspace against the per-item reference
+        # of one lstsq and one null space
         A = make()
         comm = commutant(A)
         subspaces = [V for V, _ in projection_constant_estimate(A, seed=42)[1]]
         subspaces += sample_invariant_subspaces(A, count=8, seed=1)
-        P0, D, counts = modules._module_projection_families(subspaces, comm, DEFAULT_TOL)
         n = A.ambient
-        assert D.shape[1] == counts.max()
-        for w, V in enumerate(subspaces):
+        for V in subspaces:
+            P0, D = _module_projection_family(V, comm, DEFAULT_TOL)
             p0, Dw = per_item_family(V, comm)
-            assert counts[w] == len(Dw) and not D[w, counts[w]:].any()
-            got, want = D[w, : counts[w]].reshape(-1, n * n).T, Dw.reshape(-1, n * n).T
+            assert len(D) == len(Dw)
+            got, want = D.reshape(-1, n * n).T, Dw.reshape(-1, n * n).T
             assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= 1e-12
-            # the same affine family p0 + span(D), and the stacked p0 is its
+            # the same affine family p0 + span(D), and the SVD's p0 is its
             # least-Frobenius point; lstsq's p0 may carry a component along a
             # direction it also counts free, when a singular value of the system
             # lies between lstsq's cutoff and the rank tolerance
             scale = max(1.0, np.linalg.norm(p0))
-            delta = (P0[w] - p0).reshape(-1)
+            delta = (P0 - p0).reshape(-1)
             assert np.linalg.norm(delta - got @ (got.conj().T @ delta)) <= 1e-12 * scale
-            assert np.linalg.norm(got.conj().T @ P0[w].reshape(-1)) <= 1e-12 * scale
+            assert np.linalg.norm(got.conj().T @ P0.reshape(-1)) <= 1e-12 * scale
 
     def test_stacked_families_reject_like_per_item(self):
         A = AlgebraBasis(ambient=2, basis=[np.eye(2, dtype=complex), unit(2, 0, 1)], unital=True)
         V = Subspace.span_of_basis_vector(2, 0)
         comm = commutant(A)
         assert per_item_family(V, comm) is None
-        assert modules._module_projection_families([Subspace.full(2), V], comm, DEFAULT_TOL) is None
+        assert _module_projection_family(V, comm, DEFAULT_TOL) is None
         assert module_complement(V, A) is None

@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from reduction_lab import orthogonalize
+from reduction_lab import modules, orthogonalize
 from reduction_lab.algebra import AlgebraBasis, generate_algebra, span_equal
 from reduction_lab.errors import (
     FamilyTooLargeError,
@@ -18,10 +16,14 @@ from reduction_lab.linalg import (
     operator_norm,
     rank_and_range,
 )
-from reduction_lab.modules import Representation, has_reduction_property, intertwiners
+from reduction_lab.modules import (
+    Representation,
+    _kronecker_fit,
+    has_reduction_property,
+    intertwiners,
+)
 from reduction_lab.orthogonalize import (
     SimilarityReport,
-    _kronecker_fit,
     dixmier_orthogonalize,
     orthogonalize_matrix_units,
     renorm_from_projection,
@@ -402,22 +404,17 @@ class TestWedderburnSimilarity:
 
     @pytest.mark.parametrize("fault", ["unit-swapped", "piece-dropped"])
     def test_pieces_and_kernel_not_a_basis_raise(self, fault):
-        # one piece kept: with the unit swapped for 1 - e (and its kernel for
-        # the range of e), the kernel frame K contains that piece and [Y K]
-        # is square but singular; with the unit kept, [Y K] is not square
+        # the certificate builder lays one piece beside a kernel frame: with
+        # the unit swapped for 1 - e, its kernel is the range of e, which
+        # contains that piece, and [Y K] is square but singular; with the
+        # kernel kept, [Y K] is not square
         A = block_algebra_basis([(1, 1), (1, 1)], degenerate_dim=1)
         cert = has_reduction_property(A)[1]
+        K = cert.kernel.frame
         if fault == "unit-swapped":
-            cert = replace(
-                cert,
-                unit=np.eye(3) - cert.unit,
-                kernel=rank_and_range(cert.unit)[1],
-                pieces=cert.pieces[:1],
-            )
-        else:
-            cert = replace(cert, pieces=cert.pieces[:1])
+            K = rank_and_range(cert.unit)[1].frame
         with pytest.raises(NumericalDegeneracyError, match="stage 'block-similarity'"):
-            orthogonalize._wedderburn_similarity(A, cert, DEFAULT_TOL)
+            modules._piece_basis(cert.pieces[:1], cert.homs[:1], K)
 
     def test_non_reduction_rejected(self):
         A = generate_algebra(
@@ -465,7 +462,7 @@ class TestKroneckerFit:
     def test_round_cap_raises(self, monkeypatch):
         # an exact product needs a second round to see that the first settled
         K = np.kron(np.diag([1.0, 4.0]), np.diag([1.0, 9.0])).astype(complex)
-        monkeypatch.setattr(orthogonalize, "_KRON_FIT_ITERS", 1)
+        monkeypatch.setattr(modules, "_KRON_FIT_ITERS", 1)
         with pytest.raises(NumericalDegeneracyError, match="stage 'block-similarity'"):
             _kronecker_fit(K, 2, 2)
 
