@@ -30,6 +30,7 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    _BARRIER_GAP,
     _opnorms,
     _rank,
     check_finite,
@@ -161,6 +162,17 @@ def _invariance_residual(V: Subspace, A: AlgebraBasis) -> float:
     B = _generating_stack(A)
     R = (identity(A.ambient) - V.projector()) @ B @ V.frame
     return float(np.max(_opnorms(R) / np.maximum(1.0, _opnorms(B)), initial=0.0))
+
+
+def _radical_element_margins(r: np.ndarray, A: AlgebraBasis, tol: Tolerance) -> tuple:
+    """(span residual, nilpotency defect) of a radical element r of A: the distance
+    of vec(r) from the span of A's frame over max(1, ||r||_F), and ||r^n|| over
+    max(1, ||r||)^n.  r is in A and nilpotent when both are at most eq_eps."""
+    v = r.reshape(-1)
+    F = A.frame(tol)
+    residual = np.linalg.norm(v - F @ (F.conj().T @ v)) / max(1.0, np.linalg.norm(v))
+    size, power = _opnorms(np.stack([r, np.linalg.matrix_power(r, A.ambient)]))
+    return float(residual), float(power / max(1.0, size) ** A.ambient)
 
 
 def restriction_to_invariant(
@@ -477,9 +489,10 @@ def has_reduction_property(
     The invariant-subspace family of a matrix algebra is generally a
     continuum, so the decision is made through semisimplicity; sampled
     complement searches cross-check it in the test suite.  A no is reported
-    only when its witness, the range of the radical, is invariant; else it is
-    a breakdown in stage 'radical', with the invariance residual
-    (``_invariance_residual``) as the margin.
+    only when its witness, the range of the radical, is invariant, and its
+    radical element r lies in A and is nilpotent, each to eq_eps
+    (``_invariance_residual``, ``_radical_element_margins``); else it is a
+    breakdown in stage 'radical', with the failed check's margin.
 
     A yes is the one structure pass of an analysis.  The commutant C of A is
     solved once, and C^n is split by one ``_decompose`` draw from it.  A
@@ -498,6 +511,17 @@ def has_reduction_property(
         if not residual <= tol.eq_eps:
             raise NumericalDegeneracyError(
                 f"stage 'radical': the witness is not invariant (residual {residual:.2e})"
+            )
+        outside, power = _radical_element_margins(rad.basis[0], A, tol)
+        if not outside <= tol.eq_eps:
+            raise NumericalDegeneracyError(
+                f"stage 'radical': the radical element lies outside the algebra "
+                f"(residual {outside:.2e})"
+            )
+        if not power <= tol.eq_eps:
+            raise NumericalDegeneracyError(
+                f"stage 'radical': the radical element is not nilpotent "
+                f"(||r^n|| {power:.2e} relative)"
             )
         return False, ReductionCertificate(
             False, radical_element=rad.basis[0], witness=witness, radical_dim=rad.dim
@@ -530,19 +554,83 @@ def has_reduction_property(
     )
 
 
+# Relative singular-value cut of the dual point's linear system: its real and
+# imaginary conditions are often parallel, and the roundoff between them (about
+# 5e-15 on graph_truncation) must not be inverted.  A condition cut at this
+# weight costs the dual value about as much, relative, well below _BARRIER_GAP.
+_DUAL_RCOND = 1e-12
+
+
+def _start_point_duals(P0: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||p0||, a lower bound on ||p0 + sum_j c_j D_j|| over all complex c) for each
+    member of a (W, n, n) stack ``P0`` with (W, k, n, n) directions ``D``, zero-padded
+    where the counts differ; every member needs a nonzero direction.
+
+    Weak duality (Boyd & Vandenberghe, Convex Optimization, 2004, ch. 5): the nuclear
+    norm is dual to the operator norm, so a G with <G, D_j> = 0 for every j gives
+    ||P|| >= Re<G, P> / ||G||_* = Re<G, p0> / ||G||_* on the whole family.  G is
+    built where a subgradient of the norm at p0 would sit: over the singular vectors
+    U_c, V_c of p0's top singular cluster (``eig_clusters``), W is the
+    least-Frobenius Hermitian matrix with tr W = 1 and tr(W U_c* D_j V_c) = 0, and
+    G = U_c W V_c* is projected off span(D) (a QR of the nonzero directions), so
+    the bound holds whatever W is.  When p0 is least and that W is positive, the
+    bound is sigma_1 to within the cluster's spread; a W that misses only lowers it.
+    """
+    (W, k), n = D.shape[:2], P0.shape[-1]
+    # an orthonormal basis of each member's directions: its nonzero ones moved
+    # first, then the columns of their QR that they span
+    nonzero = D.any(axis=(2, 3))
+    order = np.argsort(~nonzero, axis=1, kind="stable")
+    D = np.take_along_axis(D, order[..., None, None], 1).reshape(W, k, n * n)
+    Q = np.linalg.qr(D.swapaxes(1, 2))[0].swapaxes(1, 2)
+    Q *= (np.arange(k) < nonzero.sum(axis=1)[:, None])[..., None]
+    U, sig, Vh = np.linalg.svd(P0)
+    # the top cluster of member w is its first r[w] singular pairs; every member
+    # is padded with zero pairs to the largest, c
+    r = np.array([len(eig_clusters(s)[-1]) for s in sig])
+    c = r.max()
+    top = np.arange(c) < r[:, None]
+    Uc = U[..., :c] * top[:, None]
+    Vc = Vh[:, :c].conj().swapaxes(1, 2) * top[:, None]
+    M = Uc.conj().swapaxes(1, 2)[:, None] @ Q.reshape(W, k, n, n) @ Vc[:, None]
+    # tr W = 1 and tr(W M_j) = 0 for Hermitian W are the real conditions <W, X> = 1
+    # for X = I_r and <W, X> = 0 for X = M_j + M_j*, i(M_j - M_j*); W is the
+    # least-norm solution, a real combination of these Hermitian X
+    Mh = M.conj().swapaxes(-1, -2)
+    X = np.concatenate([top[:, None, :, None] * np.eye(c), M + Mh, 1j * (M - Mh)], axis=1)
+    X = np.concatenate([X.real, X.imag], axis=-1).reshape(W, 2 * k + 1, -1)
+    w = np.linalg.pinv(X, rcond=_DUAL_RCOND)[..., 0].reshape(W, c, 2 * c)
+    G = (Uc @ (w[..., :c] + 1j * w[..., c:]) @ Vc.conj().swapaxes(1, 2)).reshape(W, -1)
+    # projected twice: one pass leaves a part of span(D) at roundoff of G's size
+    # before it, which is all of G when G lies nearly in span(D) (Kahan's "twice
+    # is enough"; Parlett, The Symmetric Eigenvalue Problem, 1980)
+    for _ in range(2):
+        G -= np.einsum("wkx,wk->wx", Q, np.einsum("wkx,wx->wk", Q.conj(), G))
+    nuclear = np.linalg.svd(G.reshape(W, n, n), compute_uv=False).sum(axis=1)
+    inner = np.einsum("wx,wx->w", G.conj(), P0.reshape(W, -1)).real
+    dual = np.full(W, -np.inf)
+    np.divide(inner, nuclear, out=dual, where=nuclear > 0)
+    return sig[:, 0], dual
+
+
 def _spectral_norm_minimiser(P0: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Minimise ||P0[w] + sum_j c_j D[w, j]|| over complex c, for each w of a (W, n, n)
     stack ``P0`` with (W, k, n, n) directions ``D``, zero-padded where the counts differ
     (a zero direction keeps coefficient 0; a member with none is returned as it is).
     A 2-D ``P0`` with (k, n, n) ``D`` is a stack of one, and gives a 2-D result.
 
-    ||X|| <= t exactly when [[tI, X], [X*, tI]] >= 0, affine in t, Re c and Im c, so
-    ``least_psd_shift`` solves the stack: barrier gap <= 1e-11 relative at exit; still
-    reported uncertified because no dual value is reported.
+    A member whose start point p0 carries a dual point (``_start_point_duals``) with
+    ||p0|| - dual <= _BARRIER_GAP max(1, ||p0||), 1e-11 relative, is certified least
+    and returned as p0.  The others: ||X|| <= t exactly when [[tI, X], [X*, tI]] >= 0,
+    affine in t, Re c and Im c, so ``least_psd_shift`` solves them as one stack, to
+    barrier gap <= 1e-11 relative at exit, uncertified as no dual value is kept.
     """
     if P0.ndim == 2:
         return _spectral_norm_minimiser(P0[None], D[None])[0]
     k, free = D.shape[1], D.any(axis=(1, 2, 3))
+    if free.any():
+        norm, dual = _start_point_duals(P0[free], D[free])
+        free[free] = norm - dual > _BARRIER_GAP * np.maximum(1.0, norm)
     if not free.any():
         return P0
     X = np.concatenate([P0[free, None], D[free], 1j * D[free]], axis=1)
@@ -576,8 +664,10 @@ def min_norm_module_projection(
     A: AlgebraBasis,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Module projection onto V of least operator norm (barrier gap <= 1e-11
-    relative at exit; still reported uncertified because no dual value is reported).
+    """Module projection onto V of least operator norm.  A start point certified
+    least carries a dual point with gap <= 1e-11 relative; any other result keeps
+    the barrier's uncertified gap, <= 1e-11 relative at exit
+    (``_spectral_norm_minimiser``).
 
     Minimises over the affine family p0 + d with d in the commutant, range(d)
     inside V and d vanishing on V, solved in the coordinates of the
@@ -613,9 +703,9 @@ def projection_constant_estimate(
 
     Otherwise it maximises the least projection norm over sampled
     submodules (see ``_projection_constant_estimate``), a lower bound, never
-    claimed as the supremum.  Each least norm has barrier gap <= 1e-11
-    relative at exit; the bound is still reported uncertified because no
-    dual value is reported.
+    claimed as the supremum.  Each least norm is within 1e-11 relative of the
+    least: a candidate certified at its start point carries a dual point with
+    that gap, and the others keep the barrier's uncertified gap at exit.
 
     With ``amplification=2`` the doubled module, whose classes all have
     multiplicity two, is sampled as well, covering graph submodules between
@@ -662,7 +752,9 @@ def _projection_constant_estimate(
     graph candidates of ``_multiplicity_atoms``, each class's isotypic sum,
     C^d, random unions of atoms (the seed's only use here) and the whole
     space, the first ``samples`` of them, a union joined before skipped; one
-    ``_spectral_norm_minimiser`` call solves them all, and
+    ``_spectral_norm_minimiser`` call solves them all, returning those whose
+    start point its dual point certifies (gap <= 1e-11 relative) as they are
+    and the others from the barrier (uncertified gap <= 1e-11 relative), and
     ``_check_module_projections`` re-verifies each result.
     """
     if not cert.verdict:

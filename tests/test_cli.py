@@ -567,3 +567,24 @@ class TestBenchmarkCases:
                 assert code == 0, f"{case.name}: {err}"
                 problems += check_report(case, json.loads(out))
         assert problems == []
+
+    def test_projection_bound_barrier_members(self, capsys, monkeypatch, tmp_path):
+        # the projection-bound cases at workload seed 1: every free member of
+        # trunc-k4 and a_lambda is certified at its start point and never
+        # reaches the barrier; M2xI2 sends at most its four graph candidates
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        members = []
+        barrier = modules.least_psd_shift
+
+        def counting(F0, F):
+            members.append(len(F0))
+            return barrier(F0, F)
+
+        monkeypatch.setattr(modules, "least_psd_shift", counting)
+        for case in workloads.build("projection-bound", 1, tmp_path):
+            members.clear()
+            code, _, err = run(capsys, list(case.argv))
+            assert code == 0, f"{case.name}: {err}"
+            assert sum(members) <= (4 if case.name == "M2xI2" else 0), case.name

@@ -34,6 +34,7 @@ from reduction_lab.modules import (
     Representation,
     _module_projection_family,
     _spectral_norm_minimiser,
+    _start_point_duals,
     build_hat_representation,
     has_reduction_property,
     intertwiner_symmetry_check,
@@ -385,9 +386,10 @@ class TestHasReductionProperty:
         assert with_degenerate >= 10
 
     def test_no_verdict_witness_is_invariant(self):
-        # a no is reported only after its witness passes the invariance check:
-        # it does on every no-case of the suite, the digraphs, the
-        # non-reflexive example and the chains T_n
+        # a no is reported only after its witness passes the invariance check
+        # and its radical element lies in A and is nilpotent: they do on every
+        # no-case of the suite, the digraphs, the non-reflexive example and the
+        # chains T_n
         algebras = [
             digraph_algebra(G)
             for nodes in (3, 4)
@@ -403,6 +405,26 @@ class TestHasReductionProperty:
             ok, cert = has_reduction_property(A)
             assert not ok
             assert modules._invariance_residual(cert.witness, A) <= DEFAULT_TOL.eq_eps
+            margins = modules._radical_element_margins(cert.radical_element, A, DEFAULT_TOL)
+            assert max(margins) <= DEFAULT_TOL.eq_eps
+
+    @pytest.mark.parametrize(
+        "element, fault",
+        [
+            (np.diag([1.0, 0.0]), "the radical element is not nilpotent"),
+            (unit(2, 0, 1) + unit(2, 1, 0), "the radical element lies outside the algebra"),
+        ],
+        ids=["idempotent", "outside-the-span"],
+    )
+    def test_corrupted_radical_element_is_a_breakdown(self, monkeypatch, element, fault):
+        # an element whose range is invariant, so the witness check passes,
+        # but which is no radical element of the upper-triangular algebra
+        def corrupted(A, tol=DEFAULT_TOL):
+            return AlgebraBasis(ambient=2, basis=[np.asarray(element, dtype=complex)])
+
+        monkeypatch.setattr(modules, "radical", corrupted)
+        with pytest.raises(NumericalDegeneracyError, match=f"stage 'radical': {fault}"):
+            has_reduction_property(upper_triangular_2())
 
     def test_zero_algebra_certificate(self):
         A = AlgebraBasis(ambient=3, basis=[])
@@ -448,8 +470,17 @@ class TestMinNormProjection:
         # never worse than the orthogonal-complement candidate (norm 1 here)
         assert operator_norm(p) <= 1.0 + 1e-6
 
-    def test_several_directions_known_minimum(self):
-        # ||E00 + sum_j (a_j + c_j) E0j|| = sqrt(1 + sum_j |a_j + c_j|^2): minimum 1 at c = -a
+    def test_several_directions_known_minimum(self, monkeypatch):
+        # ||E00 + sum_j (a_j + c_j) E0j|| = sqrt(1 + sum_j |a_j + c_j|^2): minimum 1 at
+        # c = -a; the start point c = 0 is not least, so both problems reach the barrier
+        calls = []
+        barrier = modules.least_psd_shift
+
+        def counting(F0, F):
+            calls.append(len(F0))
+            return barrier(F0, F)
+
+        monkeypatch.setattr(modules, "least_psd_shift", counting)
         for a in ([1.0, -2j, 0.5 + 0.5j, -3.0], [0.3, 1j, -1.0, 2 + 1j, 0.7]):
             k = len(a)
             P0 = np.zeros((k + 1, k + 1), dtype=complex)
@@ -460,6 +491,7 @@ class TestMinNormProjection:
             p = _spectral_norm_minimiser(P0, D)
             assert operator_norm(p) == pytest.approx(1.0, abs=1e-8)
             assert p[0, 0] == 1.0 and not p[1:].any()
+        assert calls == [1, 1]
 
     def test_several_directions_known_minimum_stacked(self):
         # the same two problems as one stack: the 5x5 one bordered by zeros to
@@ -590,6 +622,127 @@ class TestMinNormProjection:
                         assert operator_norm(p + z * Dj) >= f * (1 - 1e-10)
             checked += 1
         assert checked
+
+
+def barrier_minimum(P0, D):
+    """``_spectral_norm_minimiser`` with no start point certified, so that every
+    member with a free direction takes the barrier."""
+    def uncertified(P0, D):
+        return _opnorms(P0), np.full(len(P0), -np.inf)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modules, "_start_point_duals", uncertified)
+        return _spectral_norm_minimiser(P0, D)
+
+
+def certified(P0, D):
+    """Whether each member's start point passes the minimiser's gap test."""
+    norm, dual = _start_point_duals(P0, D)
+    return norm - dual <= 1e-11 * np.maximum(1.0, norm)
+
+
+class TestStartPointCertificate:
+    def test_weak_duality_on_random_families(self, rng):
+        # the dual value bounds every point of the family from below, so it
+        # never exceeds the barrier's norm; a certified start point is least to
+        # the barrier's own gap, 1e-11 relative
+        families, with_multiplicity = [], 0
+        while with_multiplicity < 6:
+            A, blocks, _ = random_semisimple_algebra(rng, max_dim=6, allow_degenerate=True)
+            if all(m == 1 for _, m in blocks):
+                continue
+            with_multiplicity += 1
+            comm = commutant(A)
+            subs = sample_invariant_subspaces(A, count=8, seed=int(rng.integers(2**31)),
+                                              include_full=False)
+            for V in subs:
+                family = _module_projection_family(V, comm, DEFAULT_TOL)
+                if family is not None and len(family[1]):
+                    families.append(family)
+        passed = 0
+        for p0, D in families:
+            norm, dual = _start_point_duals(p0[None], D[None])
+            least = operator_norm(barrier_minimum(p0, D))
+            assert dual[0] <= least * (1 + 1e-13)
+            if certified(p0[None], D[None])[0]:
+                assert abs(norm[0] - least) <= 1e-11 * least
+                passed += 1
+        assert len(families) >= 20 and 0 < passed < len(families)
+
+    def test_graph_truncation_start_points_are_certified(self, monkeypatch):
+        # every free member of trunc-k4 is certified at its start point, and
+        # the barrier confirms that it is least
+        captured = []
+
+        def spy(P0, D):
+            captured.append((P0, D))
+            return _spectral_norm_minimiser(P0, D)
+
+        monkeypatch.setattr(modules, "_spectral_norm_minimiser", spy)
+        for decay in (0.5, 0.2, 0.1):
+            projection_constant_estimate(truncated_graph_example(4, decay), seed=42)
+        for P0, D in captured:
+            free = D.any(axis=(1, 2, 3))
+            assert free.sum() == 4 and certified(P0[free], D[free]).all()
+            norm = _opnorms(P0[free])
+            least = _opnorms(barrier_minimum(P0[free], D[free]))
+            assert np.all(np.abs(norm - least) <= 1e-11 * least)
+        assert len(captured) == 3
+
+    def test_double_top_value(self):
+        # diag(2, 2, 0) along E00 - E11: W = I/2 on the top pair meets the
+        # condition, and the dual value is 2, the norm; along E00 + E11 no W
+        # has tr W = 1 and tr W = 0, and indeed diag(2 + c, 2 + c, 0) reaches 0
+        P0 = np.diag([2.0, 2.0, 0.0]).astype(complex)[None]
+        for sign, is_least in ((-1.0, True), (1.0, False)):
+            D = np.diag([1.0, sign, 0.0]).astype(complex)[None, None]
+            norm, dual = _start_point_duals(P0, D)
+            assert norm[0] == pytest.approx(2.0, rel=1e-15)
+            assert certified(P0, D)[0] == is_least
+            if is_least:
+                assert dual[0] == pytest.approx(2.0, rel=1e-14)
+                assert np.array_equal(_spectral_norm_minimiser(P0, D), P0)
+            else:
+                assert operator_norm(_spectral_norm_minimiser(P0, D)[0]) <= 1e-9
+
+    def test_verdict_independent_of_direction_basis(self, rng):
+        # the certificate depends on the span of the directions only: a
+        # non-orthonormal basis of it, or zero directions padded in anywhere,
+        # give the same verdicts and dual values
+        A = truncated_graph_example(4, 0.2)
+        comm = commutant(A)
+        families = [
+            _module_projection_family(V, comm, DEFAULT_TOL)
+            for V, _ in projection_constant_estimate(A, seed=42)[1]
+            if 0 < V.dim < A.ambient
+        ]
+        A2, _, _ = random_semisimple_algebra(np.random.default_rng(3), max_dim=5)
+        comm2 = commutant(A2)
+        families += [
+            _module_projection_family(V, comm2, DEFAULT_TOL)
+            for V in sample_invariant_subspaces(A2, count=8, seed=1, include_full=False)
+        ]
+        # and the known minimum of test_several_directions_known_minimum, whose
+        # start point is not least
+        P0 = np.zeros((4, 4), dtype=complex)
+        P0[0] = [1.0, 1.0, -2j, 0.5 + 0.5j]
+        D = np.zeros((3, 4, 4), dtype=complex)
+        D[np.arange(3), 0, np.arange(1, 4)] = 1.0
+        families = [(p0, D) for p0, D in families if len(D)] + [(P0, D)]
+        verdicts = set()
+        for p0, D in families:
+            k, n = len(D), len(p0)
+            T = random_invertible(k, rng, max_cond=10)
+            mixed = np.einsum("jk,kab->jab", T, D)
+            padded = np.zeros((k + 2, n, n), dtype=complex)
+            padded[1 : k + 1] = D
+            want = _start_point_duals(p0[None], D[None])[1]
+            for other in (mixed, padded, 3.0 * D):
+                assert certified(p0[None], other[None]) == certified(p0[None], D[None])
+                got = _start_point_duals(p0[None], other[None])[1]
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            verdicts.add(bool(certified(p0[None], D[None])[0]))
+        assert verdicts == {True, False}
 
 
 class TestProjectionConstantEstimate:
