@@ -1,10 +1,13 @@
-"""Wall time and peak RSS of `reduction-lab analyze` on full matrix algebras M_n.
+"""Wall time, peak RSS and projection-constant bound of `reduction-lab analyze`
+on full matrix algebras M_n.
 
 M_n is given by two generators, the plain clock diag(exp(2 pi i j / n)) and
 the cyclic shift, with no conjugation.  With ``--central`` the algebra is
 instead the diagonal algebra C^n of n central summands, generated by the
 clock conjugated by the fixed shear I + 1/2 (strict upper triangle of ones),
-so that its unions of summands are skew.  Each n runs in a fresh Python
+so that its unions of summands are skew.  The last column is the report's
+``projection_constant_lower_bound``, so a C^n ladder records its bound beside
+its wall (1 on M_n).  Each n runs in a fresh Python
 process with 2 BLAS threads (fewer if fewer CPUs are available), so each peak
 resident set is that analysis's alone:
 
@@ -25,13 +28,15 @@ import numpy as np
 BLAS_THREADS = 2
 
 CHILD = """
-import contextlib, io, resource, sys, time
+import contextlib, io, json, resource, sys, time
 from reduction_lab import cli
+out = io.StringIO()
 t0 = time.perf_counter()
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(out):
     code = cli.main(["analyze", sys.argv[1], "--format", "json"])
 seconds = time.perf_counter() - t0
-print(code, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+bound = json.loads(out.getvalue())["projection_constant_lower_bound"] if code == 0 else None
+print(code, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, bound)
 """
 
 
@@ -55,7 +60,7 @@ def main() -> None:
     threads = str(min(BLAS_THREADS, len(os.sched_getaffinity(0))))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
            "MKL_NUM_THREADS": threads}
-    print(f"{'n':>4} {'seconds':>9} {'peak_MiB':>9}")
+    print(f"{'n':>4} {'seconds':>9} {'peak_MiB':>9} {'bound':>12}")
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
             name = f"C^{n}" if args.central else f"M_{n}"
@@ -65,10 +70,10 @@ def main() -> None:
                 [sys.executable, "-c", CHILD, str(spec)],
                 env=env, capture_output=True, text=True, check=True,
             )
-            code, seconds, peak = proc.stdout.split()
+            code, seconds, peak, bound = proc.stdout.split()
             if code != "0":
                 sys.exit(f"analyze on {name} exited {code}")
-            print(f"{n:>4} {float(seconds):9.3f} {float(peak):9.0f}")
+            print(f"{n:>4} {float(seconds):9.3f} {float(peak):9.0f} {float(bound):12.8g}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from reduction_lab.orthogonalize import similarity_bound_report, wedderburn_simi
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--samples", type=int, default=16)
     ap.add_argument("--amplification", type=int, default=1, choices=[1, 2])
     ap.add_argument("--lambdas", type=float, nargs="*", default=[0.5, 1, 2, 5, 10])
     ap.add_argument("--k", type=int, default=4)
@@ -32,7 +31,7 @@ def main() -> None:
     for lam in args.lambdas:
         A = a_lambda(lam)
         bound, _ = projection_constant_estimate(
-            A, samples=args.samples, seed=args.seed, amplification=args.amplification
+            A, seed=args.seed, amplification=args.amplification
         )
         prof = wedderburn_similarity(A, seed=args.seed)
         rep = similarity_bound_report(prof, bound)
@@ -47,7 +46,7 @@ def main() -> None:
         t0 = time.perf_counter()
         A = truncated_graph_example(args.k, decay)
         bound, _ = projection_constant_estimate(
-            A, samples=args.samples, seed=args.seed, amplification=args.amplification
+            A, seed=args.seed, amplification=args.amplification
         )
         prof = wedderburn_similarity(A, seed=args.seed)
         print(

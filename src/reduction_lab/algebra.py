@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InvalidWitnessError,
     MalformedInputError,
     StructurePreconditionError,
 )
@@ -383,13 +384,8 @@ def is_reflexive(
     Certifies reflexivity only relative to the supplied invariant family; the
     caller is responsible for sampling a representative lattice.
     """
-    from .errors import InvalidWitnessError
+    from .modules import invariant
 
-    for V in witnesses.members:
-        if V.dim == 0:
-            continue
-        for b in A.basis:
-            resid = (identity(A.ambient) - V.projector()) @ b @ V.frame
-            if operator_norm(resid) > tol.eq_eps * max(1.0, operator_norm(b)):
-                raise InvalidWitnessError("witness subspace is not invariant under the algebra")
+    if not all(invariant(V, A, tol) for V in witnesses.members):
+        raise InvalidWitnessError("witness subspace is not invariant under the algebra")
     return span_equal(A, alg_of_lattice(witnesses, tol), tol)

@@ -131,7 +131,7 @@ def _tolerance(rank_eps, eq_eps) -> Tolerance:
         raise MalformedInputError(f"bad tolerance: {exc}") from exc
 
 
-def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
+def analysis_report(A, seed: int, tol: Tolerance) -> dict:
     """Run the full pipeline on an algebra and collect the report dictionary.
 
     On a yes the commutant is the certificate's, and A'' = A exactly when no
@@ -163,7 +163,7 @@ def analysis_report(A, seed: int, samples: int, tol: Tolerance) -> dict:
             "degenerate_dimension": cert.degenerate_dim,
         }
         profile = _wedderburn_similarity(A, cert, tol)
-        bound, _ = _projection_constant_estimate(A, cert, samples, seed, tol)
+        bound, _ = _projection_constant_estimate(A, cert, seed, tol)
         report["wedderburn_profile"] = [list(b) for b in profile.blocks]
         report["projection_constant_lower_bound"] = float(bound)
         report["similarity_condition"] = float(profile.similarity.condition)
@@ -208,7 +208,7 @@ def cmd_analyze(args) -> int:
     if not generators and not unital:
         raise MalformedInputError("empty generator list requires the unital flag")
     A = generate_algebra(generators, unital=unital, ambient=dimension, tol=tol)
-    report = analysis_report(A, seed=args.seed, samples=args.samples, tol=tol)
+    report = analysis_report(A, seed=args.seed, tol=tol)
     emit_report(report, args.format)
     return 0
 
@@ -275,7 +275,7 @@ def build_gallery_algebra(args):
 def cmd_gallery(args) -> int:
     tol = _override_tol(DEFAULT_TOL, args)
     A = build_gallery_algebra(args)
-    report = analysis_report(A, seed=args.seed, samples=args.samples, tol=tol)
+    report = analysis_report(A, seed=args.seed, tol=tol)
     report["gallery"] = args.name
     emit_report(report, args.format)
     return 0
@@ -452,9 +452,7 @@ def _add_common(parser: argparse.ArgumentParser, raw_seed: str) -> None:
     parser.add_argument("--tol", type=float, default=None, help="comparison tolerance")
     parser.add_argument("--rank-tol", type=float, default=None, help="rank tolerance")
     parser.add_argument("--seed", type=int, default=default_seed)
-    parser.add_argument("--samples", type=int, default=24)
     parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--quick", action="store_true", help="reduced sample counts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,6 +491,7 @@ def _parser(raw_seed: str) -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the randomized invariant suite")
     _add_common(p, raw_seed)
+    p.add_argument("--quick", action="store_true", help="reduced sample counts")
     p.set_defaults(fn=cmd_selftest)
 
     return parser
@@ -501,10 +500,6 @@ def _parser(raw_seed: str) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.samples < 1:
-            raise MalformedInputError("--samples must be positive")
-        if args.quick:
-            args.samples = min(args.samples, 8)
         return args.fn(args)
     except (MalformedInputError, MalformedGraphError, MalformedDerivationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

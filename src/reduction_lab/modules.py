@@ -7,6 +7,7 @@ projections, projection-constant lower bounds, and inner-derivation solving.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -686,130 +687,116 @@ def min_norm_module_projection(
 
 def projection_constant_estimate(
     A: AlgebraBasis,
-    samples: int = 24,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
     amplification: int = 1,
 ) -> tuple[float, list]:
     """Lower bound for the projection constant, and its witnesses by descending norm.
 
-    When every isotypic class has multiplicity one and there are at most
-    ``_LATTICE_MAX_ATOMS`` atoms (the irreducible pieces, and the kernel of the
-    internal unit when a summand is annihilated), the bound is the exact
-    maximum over the unions of the atoms, each with exactly one module
-    projection.  With at most one annihilated dimension this is the
-    projection constant at level 1; with more, it is the maximum over U + L
-    for unions U of pieces and L either 0 or the whole annihilated summand.
-
-    Otherwise it maximises the least projection norm over sampled
-    submodules (see ``_projection_constant_estimate``), a lower bound, never
-    claimed as the supremum.  Each least norm is within 1e-11 relative of the
-    least: a candidate certified at its start point carries a dual point with
-    that gap, and the others keep the barrier's uncertified gap at exit.
+    A union of whole isotypic classes (and of the kernel of the internal
+    unit) has one module projection and is normed exactly: all of them up to
+    12 atoms, the most balanced ``_POINT_UNIONS`` beyond.  So a multiplicity-
+    free certificate with at most 12 classes and one annihilated dimension
+    gets the projection constant at level 1.  A class of multiplicity above 1
+    adds candidates that split it (``_projection_constant_estimate``), each
+    within 1e-11 relative of its least norm: certified by a dual point at its
+    start point, or with the barrier's uncertified gap at exit.
 
     With ``amplification=2`` the doubled module, whose classes all have
-    multiplicity two, is sampled as well, covering graph submodules between
-    the two copies; levels beyond 2 are out of scope.
+    multiplicity two, is estimated as well, covering graph submodules
+    between the two copies; levels beyond 2 are out of scope.
     """
     if amplification not in (1, 2):
         raise MalformedInputError("only amplification levels 1 and 2 are supported")
     cert = has_reduction_property(A, seed, tol)[1]
-    base, witnesses = _projection_constant_estimate(A, cert, samples, seed, tol)
+    base, witnesses = _projection_constant_estimate(A, cert, seed, tol)
     if amplification == 2:
         doubled = AlgebraBasis(
             ambient=2 * A.ambient,
             basis=[np.kron(b, np.eye(2)) for b in A.basis],
             unital=A.unital,
         )
-        high, wit2 = projection_constant_estimate(doubled, samples, seed, tol)
+        high, wit2 = projection_constant_estimate(doubled, seed, tol)
         return max(base, high), sorted(witnesses + wit2, key=lambda t: -t[1])
     return base, witnesses
 
 
-# Above this many atoms the lattice's 2^(r-1) - 1 unions cost more than the
-# sampled route: 0.06 s at r = 12, about 1.5 s at r = 16.
-_LATTICE_MAX_ATOMS = 12
-# Complex entries per batched norm call of the lattice route (1 MiB): on C^12
+# Proper unions of whole classes normed per estimate: all 2^(r-1) - 1 that
+# hold class 0 up to r = 12 atoms (0.06 s), the most balanced this many beyond.
+_POINT_UNIONS = 2**11 - 1
+# Complex entries per batched norm call of the class lattice (1 MiB): on C^12
 # one call over all 2047 unions raised the peak RSS of `analyze` by 6 MiB.
 _NORM_BATCH = 2**16
+# Candidates that split a multiplicity class, solved by one minimiser call.
+_FAMILY_CANDIDATES = 24
 
 
 def _projection_constant_estimate(
     A: AlgebraBasis,
     cert: ReductionCertificate,
-    samples: int,
     seed: int,
     tol: Tolerance,
 ) -> tuple[float, list]:
     """``projection_constant_estimate`` at amplification 1, from the reduction
     certificate's piece basis Z and its blocks' Kronecker fits.
 
-    In the coordinates of Z a submodule is a subspace V_c of each block's
-    multiplicity space (C^d, the annihilated summand, is one more block), and
-    ``_closed_family`` writes down its module projections.  A
-    multiplicity-free certificate with at most ``_LATTICE_MAX_ATOMS`` atoms
-    takes ``_lattice_projection_constant``.  Any other takes the atoms and
-    graph candidates of ``_multiplicity_atoms``, each class's isotypic sum,
-    C^d, random unions of atoms (the seed's only use here) and the whole
-    space, the first ``samples`` of them, a union joined before skipped; one
-    ``_spectral_norm_minimiser`` call solves them all, returning those whose
-    start point its dual point certifies (gap <= 1e-11 relative) as they are
-    and the others from the barrier (uncertified gap <= 1e-11 relative), and
+    ``_class_lattice`` norms the unions of whole classes.  When some class has
+    multiplicity above 1, the candidates that split a class join them: the
+    canonical atoms and graph candidates of ``_multiplicity_atoms``, then
+    random unions of atoms (the seed's only use here), at most
+    ``_FAMILY_CANDIDATES``, a union joined before or of whole classes skipped.
+    ``_closed_family`` writes down their module projections, one
+    ``_spectral_norm_minimiser`` call solves them all (a start point its dual
+    point certifies is returned as it is, the others from the barrier), and
     ``_check_module_projections`` re-verifies each result.
     """
     if not cert.verdict:
         raise StructurePreconditionError("projection constants need the reduction property")
-    n, d, Z = A.ambient, cert.degenerate_dim, cert.basis
-    if all(m == 1 for _, m in cert.blocks) and len(cert.blocks) + bool(d) <= _LATTICE_MAX_ATOMS:
-        return _lattice_projection_constant(A, cert)
-    rng = np.random.default_rng(seed)
-    layout = [*cert.blocks, (1, d)]
-    starts = np.cumsum([0] + [k * m for k, m in layout])
+    bound, witnesses = _class_lattice(A, cert)
+    if all(m == 1 for _, m in cert.blocks):
+        return bound, witnesses
+    Z, blocks = cert.basis, list(cert.blocks)
+    starts = np.cumsum([0] + [k * m for k, m in blocks])
     columns = [
         _multiplicity_atoms(Z[:, at : at + k * m], k, m, *fit)
-        for (k, m), at, fit in zip(cert.blocks, starts, cert.fits)
-    ] + [identity(d)]
-    # an entry is a block and some of its columns above: the atoms, then the
-    # graph candidates, then the whole annihilated summand
-    atoms = [(c, [j]) for c, (_, m) in enumerate(cert.blocks) for j in range(m)]
-    graphs = [(c, [j]) for c, (_, m) in enumerate(cert.blocks) for j in range(m, len(columns[c].T))]
-    entries = atoms + graphs + [(len(cert.blocks), list(range(d)))]
+        for (k, m), at, fit in zip(blocks, starts, cert.fits)
+    ]
+    # an entry is a block and one of its columns above: the atoms, then the
+    # graph candidates
+    atoms = [(c, j) for c, (_, m) in enumerate(blocks) for j in range(m)]
+    graphs = [(c, j) for c, X in enumerate(columns) for j in range(blocks[c][1], len(X.T))]
+    entries = atoms + graphs
     candidates: list[list] = []
     joined: set[tuple] = set()
 
     def union(members: tuple) -> None:
-        if members not in joined:
+        chosen = [entries[i] for i in members]
+        picked = [[j for a, j in chosen if a == c] for c in range(len(blocks))]
+        whole = all(len(js) in (0, m) for js, (_, m) in zip(picked, blocks))
+        if members not in joined and not whole:
             joined.add(members)
-            picked = [entries[i] for i in members]
-            candidates.append(
-                [X[:, sum((js for a, js in picked if a == c), [])] for c, X in enumerate(columns)]
-            )
+            candidates.append([X[:, js] for X, js in zip(columns, picked)])
 
-    r = len(atoms)
-    for i in range(r):
+    for i in range(len(entries)):
         union((i,))
-    for c in range(len(cert.blocks)):
-        union(tuple(i for i, (a, _) in enumerate(atoms) if a == c))
-    for i in range(r, len(entries) - (not d)):
-        union((i,))
-    if r > 1:
-        for _ in range(2 * samples):
-            if len(candidates) >= samples:
-                break
-            mask = rng.integers(0, 2, size=r)
-            if mask.any():
-                union(tuple(np.flatnonzero(mask).tolist()))
-    union(tuple(range(r)) + ((len(entries) - 1,) if d else ()))
+    rng = np.random.default_rng(seed)
+    for _ in range(2 * _FAMILY_CANDIDATES):
+        if len(candidates) >= _FAMILY_CANDIDATES:
+            break
+        mask = rng.integers(0, 2, size=len(atoms))
+        if mask.any():
+            union(tuple(np.flatnonzero(mask).tolist()))
 
-    candidates = candidates[: max(samples, 1)]
-    families = [_closed_family(Z, cert.basis_inv, layout, starts, V) for V in candidates]
+    n, Z_inv, candidates = A.ambient, cert.basis_inv, candidates[:_FAMILY_CANDIDATES]
+    families = [_closed_family(Z, Z_inv, blocks, starts, V) for V in candidates]
     D = np.zeros((len(families), max(len(f[1]) for f in families), n, n), dtype=complex)
     for w, (_, Dw, _) in enumerate(families):
         D[w, : len(Dw)] = Dw
     P = _spectral_norm_minimiser(np.array([f[0] for f in families]), D)
     _check_module_projections(P, A, "the least-norm projections")
-    witnesses = sorted(zip([f[2] for f in families], _opnorms(P).tolist()), key=lambda t: -t[1])
-    return witnesses[0][1], witnesses
+    norms = _opnorms(P).tolist()
+    witnesses += zip([f[2] for f in families], norms)
+    return max(bound, *norms), sorted(witnesses, key=lambda t: -t[1])
 
 
 def _multiplicity_atoms(Y: np.ndarray, k: int, m: int, G: np.ndarray, H: np.ndarray):
@@ -841,9 +828,9 @@ def _multiplicity_atoms(Y: np.ndarray, k: int, m: int, G: np.ndarray, H: np.ndar
 def _closed_family(Z: np.ndarray, Z_inv: np.ndarray, layout: list, starts, V: list) -> tuple:
     """(p0, D, witness) for the submodule whose multiplicity subspaces are
     spanned by the columns of V, one matrix per block of ``layout`` (at column
-    ``starts`` of Z): the least-Frobenius module projection, a
-    Frobenius-orthonormal basis of its free directions (none when that
-    projection already has norm 1), and the submodule.
+    ``starts`` of Z; a block left out contributes 0): the least-Frobenius
+    module projection, a Frobenius-orthonormal basis of its free directions
+    (none when that projection already has norm 1), and the submodule.
     With F, F' orthonormal frames of V_c and its complement, the family is
     q_c = F F* plus I_k kron v u* for v in F, u in F', and
     Z (I_k kron v u*) Z^-1 is the sum over i of (Y_i v)(u* W_i), over the
@@ -852,8 +839,6 @@ def _closed_family(Z: np.ndarray, Z_inv: np.ndarray, layout: list, starts, V: li
     P0 = np.zeros((n, n), dtype=complex)
     spans, dirs = [np.zeros((n, 0))], [np.zeros((0, n, n), dtype=complex)]
     for (k, m), at, X in zip(layout, starts, V):
-        if not m:
-            continue
         s, F = X.shape[1], np.linalg.qr(X, mode="complete")[0]
         Y = Z[:, at : at + k * m].reshape(n, k, m) @ F[:, :s]
         W = F.conj().T @ Z_inv[at : at + k * m].reshape(k, m, n)
@@ -873,24 +858,25 @@ def _closed_family(Z: np.ndarray, Z_inv: np.ndarray, layout: list, starts, V: li
     return p0, Q.T.reshape(-1, n, n), witness
 
 
-def _lattice_projection_constant(A: AlgebraBasis, cert: ReductionCertificate):
-    """The largest norm of a module projection onto a union of atoms, and its
-    witnesses: the maximising union, then the atoms, by descending norm.
+def _class_lattice(A: AlgebraBasis, cert: ReductionCertificate) -> tuple[float, list]:
+    """The largest norm of a module projection onto a union of whole atoms, and
+    its witnesses: the maximising union, then the atoms, by descending norm.
 
-    The atoms are the blocks of the piece basis Z, each one irreducible piece
-    of its own class, and the annihilated summand when d > 0; pairwise
-    non-isomorphic, so a union U has exactly one module projection,
-    P_U = Z diag(1_U) Z^-1.  As ||I - P|| = ||P|| for an idempotent P != 0, I
-    (Kato, Numer. Math. 2, 1960; Szyld, Numer. Algorithms 42, 2006), only the
-    2^(r-1) - 1 proper unions holding atom 0 are formed, and batched
-    ``_opnorms`` calls take their norms; the bound is max(1, their maximum),
-    the whole space giving 1.
+    The atoms are the isotypic classes of the piece basis Z, and the
+    annihilated summand when d > 0; pairwise non-isomorphic, so a union U has
+    exactly one module projection, P_U = Z diag(1_U) Z^-1.  As
+    ||I - P|| = ||P|| for an idempotent P != 0, I (Kato, Numer. Math. 2, 1960;
+    Szyld, Numer. Algorithms 42, 2006), only proper unions holding atom 0 are
+    formed, balanced first (|2|U| - r| ascending, then by size and by number,
+    bit k of the number being atom k), at most ``_POINT_UNIONS`` of them: all
+    2^(r-1) - 1 up to r = 12.  Batched ``_opnorms`` calls take their norms;
+    the bound is max(1, their maximum), the whole space giving 1.
 
     The r atom projections pass the minimiser's gates first
     (``_check_module_projections``), and must sum to I to 1e-6.
     """
-    n, Z, Z_inv = A.ambient, cert.basis, cert.basis_inv
-    sizes = [k for k, _ in cert.blocks] + ([cert.degenerate_dim] if cert.degenerate_dim else [])
+    n, Z, Z_inv, d = A.ambient, cert.basis, cert.basis_inv, cert.degenerate_dim
+    sizes = [k * m for k, m in cert.blocks] + [d] * bool(d)
     r = len(sizes)
     owner = np.repeat(np.arange(r), sizes)
     P = (Z * (owner == np.arange(r)[:, None])[:, None]) @ Z_inv
@@ -902,24 +888,38 @@ def _lattice_projection_constant(A: AlgebraBasis, cert: ReductionCertificate):
             f"(defect {defect:.2e})"
         )
 
-    atoms = [Subspace.from_frame(Z[:, owner == a]) for a in range(r)]
+    atoms = [Subspace.from_frame(np.linalg.qr(Z[:, owner == a])[0]) for a in range(r)]
     witnesses = list(zip(atoms, _opnorms(P).tolist()))
-    bound = 1.0
-    if r > 1:
-        # bit k of a union's number is atom k: atom 0 is always in, and the
-        # largest number, 2^r - 3, leaves atom 1 out
-        unions = 2 * np.arange(2 ** (r - 1) - 1) + 1
-        cols = ((unions[:, None] >> owner) & 1).astype(bool)
-        rows = max(1, _NORM_BATCH // n**2)
-        norms = np.concatenate(
-            [_opnorms((Z * cols[i : i + rows, None]) @ Z_inv) for i in range(0, len(cols), rows)]
-        )
-        best = int(np.argmax(norms))
-        bound = max(1.0, float(norms[best]))
-        if best:
-            union = Subspace.from_frame(np.linalg.qr(Z[:, cols[best]])[0])
-            witnesses.insert(0, (union, float(norms[best])))
-    return bound, sorted(witnesses, key=lambda t: -t[1])
+    if r == 1:
+        return 1.0, witnesses
+    # the atoms beside atom 0 of each union, 1 + s of them, bit j of the
+    # number being atom j + 1
+    counts = sorted(range(r - 1), key=lambda s: abs(2 * s + 2 - r))
+    others = itertools.chain.from_iterable(_by_number(r - 1, s) for s in counts)
+    unions = np.zeros((min(_POINT_UNIONS, 2 ** (r - 1) - 1), r), dtype=bool)
+    unions[:, 0] = True
+    for row, c in zip(unions, others):
+        row[[j + 1 for j in c]] = True
+    cols = unions[:, owner]
+    rows = max(1, _NORM_BATCH // n**2)
+    norms = np.concatenate(
+        [_opnorms((Z * cols[i : i + rows, None]) @ Z_inv) for i in range(0, len(cols), rows)]
+    )
+    best = int(np.argmax(norms))
+    if unions[best].sum() > 1:
+        union = Subspace.from_frame(np.linalg.qr(Z[:, cols[best]])[0])
+        witnesses.insert(0, (union, float(norms[best])))
+    return max(1.0, float(norms[best])), sorted(witnesses, key=lambda t: -t[1])
+
+
+def _by_number(n: int, k: int):
+    """The k-subsets of range(n), lazily, in ascending order of sum(2^j)."""
+    if not k:
+        yield ()
+        return
+    for top in range(k - 1, n):
+        for rest in _by_number(top, k - 1):
+            yield rest + (top,)
 
 
 def sample_invariant_subspaces(

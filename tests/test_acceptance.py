@@ -327,7 +327,7 @@ def test_criterion_10_truncated_graph_trend():
     bounds = []
     for decay in (0.5, 0.2, 0.1):
         A = truncated_graph_example(4, decay)
-        bound, _ = projection_constant_estimate(A, samples=16, seed=MASTER_SEED)
+        bound, _ = projection_constant_estimate(A, seed=MASTER_SEED)
         bounds.append(bound)
     assert bounds[0] < bounds[1] < bounds[2]
     report(

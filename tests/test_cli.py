@@ -216,7 +216,7 @@ class TestAnalysisReport:
         record_calls(monkeypatch, modules.algebra_identity_element, unit_args)
         record_calls(monkeypatch, algebra.commutant, commutant_args)
         record_calls(monkeypatch, modules.intertwiners, hom_args)
-        report = analysis_report(A, seed=42, samples=24, tol=DEFAULT_TOL)
+        report = analysis_report(A, seed=42, tol=DEFAULT_TOL)
         assert report["reduction_property"]["verdict"] is True
         assert len(radical_args) == 1 and radical_args[0] is A
         assert unit_args == []
@@ -262,7 +262,7 @@ class TestAnalysisReport:
         for _ in range(60):
             A, _, degenerate = random_semisimple_algebra(rng, max_dim=6, allow_degenerate=True)
             with_degenerate += degenerate > 0
-            report = analysis_report(A, seed=42, samples=4, tol=DEFAULT_TOL)
+            report = analysis_report(A, seed=42, tol=DEFAULT_TOL)
             assert report["bicommutant_equals_algebra"] == span_equal(A, bicommutant(A))
             assert report["commutant_dimension"] == commutant(A).dim
         assert with_degenerate >= 10
@@ -285,7 +285,7 @@ class TestAnalysisReport:
             conditions = []
             for basis in variants:
                 B = AlgebraBasis(ambient=n, basis=basis, unital=A.unital)
-                report = analysis_report(B, seed=42, samples=24, tol=DEFAULT_TOL)
+                report = analysis_report(B, seed=42, tol=DEFAULT_TOL)
                 cert = report["reduction_property"]["certificate"]
                 assert report["reduction_property"]["verdict"] is True
                 assert cert["blocks"] == report["wedderburn_profile"] == profile
@@ -317,7 +317,7 @@ class TestGallery:
     def test_graph_truncation_profile(self, capsys):
         code, out, _ = run(
             capsys,
-            ["gallery", "graph_truncation", "--k", "3", "--decay", "0.3", "--quick"],
+            ["gallery", "graph_truncation", "--k", "3", "--decay", "0.3"],
         )
         assert code == 0
         report = json.loads(out)
@@ -335,7 +335,7 @@ class TestGallery:
         # carries the algebra onto {diag(b, b)}
         code, out, err = run(
             capsys,
-            ["gallery", "graph_truncation", "--k", str(k), "--decay", str(decay), "--quick"],
+            ["gallery", "graph_truncation", "--k", str(k), "--decay", str(decay)],
         )
         assert code == 0, err
         report = json.loads(out)
@@ -346,7 +346,7 @@ class TestGallery:
         )
 
     def test_graph_truncation_condition_with_one_blas_thread(self):
-        argv = ["gallery", "graph_truncation", "--k", "4", "--decay", "0.02", "--quick"]
+        argv = ["gallery", "graph_truncation", "--k", "4", "--decay", "0.02"]
         proc = subprocess.run(
             [sys.executable, "-m", "reduction_lab", *argv],
             capture_output=True,
@@ -361,7 +361,7 @@ class TestGallery:
         # past the reach at k = 4 (decay 0.002) the Kronecker fit does not
         # settle within its round cap
         code, out, err = run(
-            capsys, ["gallery", "graph_truncation", "--k", "4", "--decay", "0.001", "--quick"]
+            capsys, ["gallery", "graph_truncation", "--k", "4", "--decay", "0.001"]
         )
         assert code == 2 and out == ""
         assert err.startswith("error: stage 'block-similarity': Kronecker fit did not settle")
@@ -502,7 +502,7 @@ class TestEntryPoints:
     @pytest.mark.parametrize(
         "argv, last_line",
         [
-            (["projection_constant_survey.py", "--samples", "4", "--lambdas", "2",
+            (["projection_constant_survey.py", "--lambdas", "2",
               "--decays", "0.5", "--amplification", "2"], "0.50"),
             (["digraph_census.py", "--nodes", "3", "--cb-samples", "5",
               "--amplification", "2"], "3      29          5          5     29"),

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from reduction_lab import modules
-from reduction_lab.algebra import AlgebraBasis, commutant, generate_algebra, radical, span_equal
+from reduction_lab.algebra import (
+    AlgebraBasis,
+    center_and_minimal_central_idempotents,
+    commutant,
+    generate_algebra,
+    radical,
+    span_equal,
+)
 from reduction_lab.errors import (
     InvalidWitnessError,
     MalformedDerivationError,
@@ -573,9 +580,9 @@ class TestMinNormProjection:
         "make", [lambda: truncated_graph_example(4, 0.5)], ids=["truncated_graph_example(4, 0.5)"]
     )
     def test_drifted_minimiser_is_caught(self, monkeypatch, make):
-        # every sampled witness is re-verified after the descent, also those
-        # with no free direction; a multiplicity-free algebra takes the lattice
-        # route, whose atom projections are checked instead
+        # every split candidate is re-verified after the descent, also those
+        # with no free direction; the class lattice's atom projections are
+        # checked on their own
         def drifted(P0, D):
             return P0 + 1e-3 * np.ones(P0.shape)
 
@@ -765,16 +772,16 @@ class TestProjectionConstantEstimate:
 
     def test_deterministic_given_seed(self):
         A = a_lambda(2.0)
-        b1, w1 = projection_constant_estimate(A, samples=10, seed=5)
-        b2, w2 = projection_constant_estimate(A, samples=10, seed=5)
+        b1, w1 = projection_constant_estimate(A, seed=5)
+        b2, w2 = projection_constant_estimate(A, seed=5)
         assert b1 == b2 and len(w1) == len(w2)
 
     def test_amplified_level_two(self):
         # the doubled module never reports less; for this family the level-1
         # value already comes from a uniquely complemented line
         A = a_lambda(2.0)
-        level1, _ = projection_constant_estimate(A, samples=8, seed=3)
-        level2, _ = projection_constant_estimate(A, samples=8, seed=3, amplification=2)
+        level1, _ = projection_constant_estimate(A, seed=3)
+        level2, _ = projection_constant_estimate(A, seed=3, amplification=2)
         assert level2 >= level1 - 1e-12
         assert level2 == pytest.approx(np.sqrt(5.0), abs=1e-8)
 
@@ -783,20 +790,29 @@ class TestProjectionConstantEstimate:
             projection_constant_estimate(a_lambda(1.0), amplification=3)
 
     def test_repeated_union_masks_are_skipped(self, monkeypatch):
-        # M2 x I2 has two isomorphic pieces, so its unions are sampled: three
-        # distinct masks among the 48 draws, and a repeat is skipped before its
-        # join is built and tested for invariance (without the skip the draws
-        # would test 17 more candidates)
-        calls = []
+        # M2 x I2 is one class of multiplicity two: its 48 random masks over
+        # the two atoms give an atom again or the whole class, which the class
+        # lattice norms, so exactly the two atoms and the four graph
+        # candidates of _multiplicity_atoms reach _closed_family, in order
+        atoms, families = [], []
+        multiplicity_atoms, closed_family = modules._multiplicity_atoms, modules._closed_family
 
-        def counting(V, A, tol=DEFAULT_TOL):
-            calls.append(V)
-            return invariant(V, A, tol)
+        def recording_atoms(*args):
+            atoms.append(multiplicity_atoms(*args))
+            return atoms[-1]
 
-        monkeypatch.setattr(modules, "invariant", counting)
+        def recording_family(Z, Z_inv, layout, starts, V):
+            families.append(V)
+            return closed_family(Z, Z_inv, layout, starts, V)
+
+        monkeypatch.setattr(modules, "_multiplicity_atoms", recording_atoms)
+        monkeypatch.setattr(modules, "_closed_family", recording_family)
         bound, _ = projection_constant_estimate(amplified_m2())
         assert bound == pytest.approx(1.0, abs=1e-9)
-        assert len(calls) <= 12
+        assert len(atoms) == 1 and atoms[0].shape == (2, 6)
+        assert len(families) == 6
+        for j, V in enumerate(families):
+            assert len(V) == 1 and np.array_equal(V[0], atoms[0][:, [j]])
 
     def test_degenerate_orthogonal_case(self):
         A = generate_algebra([np.diag([1.0, 0.0]).astype(complex)])
@@ -824,13 +840,15 @@ def conjugated_diagonal(n, rng, zeros=0):
 class TestLatticeProjectionConstant:
     @staticmethod
     def estimate(A, seed=0):
-        """(bound, witnesses, whether the lattice route ran): it runs when every
-        multiplicity is one and the atoms, the pieces and the annihilated
+        """(bound, witnesses, whether the class lattice alone decided it, over
+        all its unions): every multiplicity is one and the 2^(r-1) - 1 proper
+        unions holding atom 0 of the r atoms, the classes and the annihilated
         summand if any, number at most the cap."""
         cert = has_reduction_property(A, seed)[1]
-        bound, witnesses = modules._projection_constant_estimate(A, cert, 24, seed, DEFAULT_TOL)
+        bound, witnesses = modules._projection_constant_estimate(A, cert, seed, DEFAULT_TOL)
         atoms = len(cert.blocks) + bool(cert.degenerate_dim)
-        lattice = all(m == 1 for _, m in cert.blocks) and atoms <= modules._LATTICE_MAX_ATOMS
+        unions = 2 ** (atoms - 1) - 1
+        lattice = all(m == 1 for _, m in cert.blocks) and unions <= modules._POINT_UNIONS
         return bound, witnesses, lattice
 
     @pytest.mark.parametrize("n", range(3, 9))
@@ -890,14 +908,52 @@ class TestLatticeProjectionConstant:
         monkeypatch.setattr(modules, "_NORM_BATCH", 3 * 6**2)
         assert self.estimate(A)[0] == whole[0]
 
-    def test_more_atoms_than_the_cap_are_sampled(self, monkeypatch, rng):
+    def test_unions_past_the_cap_give_one_lower_bound(self, monkeypatch, rng):
+        # past the cap the most balanced unions are normed, the same ones
+        # whatever the seed, so the bound does not move with it
         A, _ = conjugated_diagonal(5, rng)
         exact, _, lattice = self.estimate(A)
-        monkeypatch.setattr(modules, "_LATTICE_MAX_ATOMS", 3)
-        sampled, witnesses, capped = self.estimate(A)
-        assert lattice and not capped
-        assert 5 <= len(witnesses) <= 24
-        assert sampled <= exact * (1 + 1e-9)
+        monkeypatch.setattr(modules, "_POINT_UNIONS", 3)
+        capped = [self.estimate(A, seed) for seed in range(4)]
+        assert lattice and not any(c[2] for c in capped)
+        assert all(c[0] == pytest.approx(capped[0][0], rel=1e-12) for c in capped)
+        assert capped[0][0] <= exact * (1 + 1e-12)
+        assert all(len(c[1]) in (5, 6) for c in capped)
+
+    @pytest.mark.parametrize("seed", [42, 1, 2])
+    def test_thirteen_sheared_summands_read_the_exact_maximum(self, seed):
+        # C^13 under the shear of scripts/mn_walls.py --central, one atom past
+        # where every union fits under the cap: the most balanced 2047 hold the
+        # maximum over all 4095 proper unions that hold atom 0
+        n = 13
+        shear = np.eye(n) + 0.5 * np.triu(np.ones((n, n)), 1)
+        shear_inv = np.linalg.inv(shear)
+        clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+        A = generate_algebra([shear @ clock @ shear_inv], unital=True)
+        masks = np.array([(1.0, *m) for m in itertools.product((0.0, 1.0), repeat=n - 1)])[:-1]
+        assert len(masks) == 4095
+        want = max(_opnorms((shear * M[:, None]) @ shear_inv).max() for M in np.split(masks, 5))
+        bound, _, lattice = self.estimate(A, seed)
+        assert not lattice
+        assert bound == pytest.approx(want, rel=1e-12)
+
+    def test_unions_of_classes_with_multiplicity(self, rng):
+        # an independent route to every union of whole classes: the minimal
+        # central idempotents p_c of the centre, at another seed; the bound
+        # of a certificate with a multiplicity above one is at least each
+        # ||sum over U of p_c||
+        tested = 0
+        while tested < 8:
+            A, blocks, _ = random_semisimple_algebra(rng, max_dim=7)
+            if len(blocks) < 2 or all(m == 1 for _, m in blocks):
+                continue
+            _, idems = center_and_minimal_central_idempotents(A, seed=1)
+            bound, _, lattice = self.estimate(A, seed=0)
+            assert not lattice and len(idems) == len(blocks)
+            for size in range(1, len(idems) + 1):
+                for U in itertools.combinations(idems, size):
+                    assert bound >= operator_norm(sum(U)) * (1 - 1e-9)
+            tested += 1
 
     @pytest.mark.parametrize("corrupt", ["skewed-piece", "repeated-piece", "inverse-row"])
     def test_corrupted_atom_projection_is_caught(self, corrupt):
@@ -916,7 +972,7 @@ class TestLatticeProjectionConstant:
             Z_inv[-1] += 1e-3
         cert = dataclasses.replace(cert, basis=Z, basis_inv=Z_inv)
         with pytest.raises(NumericalDegeneracyError, match="stage 'projection-constant'"):
-            modules._projection_constant_estimate(A, cert, 24, 0, DEFAULT_TOL)
+            modules._projection_constant_estimate(A, cert, 0, DEFAULT_TOL)
 
 
 class TestIntertwinerSymmetry:
