@@ -448,11 +448,13 @@ def _piece_basis(pieces: list, homs: list, K: np.ndarray) -> tuple:
     return tuple((k, mult) for k, mult, _ in groups), Z, Z_inv
 
 
-# The Kronecker fit stops when the multiplicity factor changes by less than
-# _KRON_FIT_TOL (relative) in one round.  Its rounds grow about as the square
-# root of the block's condition (1 100 at condition 1e3 on graph_truncation),
-# so the cap leaves room to condition 1e4 and more.
-_KRON_FIT_ITERS = 10000
+# The Kronecker fit stops when its residual ||H^-1/2 Phi(H) H^-1/2 - I||_F is at
+# most _KRON_FIT_TOL, or when a full Newton step no longer halves it: in the
+# quadratic region that happens only at the roundoff floor, which the block's
+# condition sets (up to about 1e-9 at decay 0.0005 on graph_truncation).  Over
+# analysis seeds 0-19 Newton takes 2-6 steps there at decay 0.5-0.1, and at most
+# 17 down to decay 0.0005 at k = 4 and 0.01 at k = 6.
+_KRON_FIT_STEPS = 40
 _KRON_FIT_TOL = 1e-12
 
 
@@ -460,26 +462,93 @@ def _kronecker_fit(K: np.ndarray, k: int, mult: int) -> tuple[np.ndarray, np.nda
     """Positive G (k x k) and H (mult x mult) with G kron H fitted to a positive
     definite K of size k * mult.
 
-    The Gaussian maximum-likelihood fit, by the "flip-flop" iteration
-    (Dutilleul, J. Statist. Comput. Simul. 64, 1999): G is the H^-1-weighted
-    partial trace of K over the multiplicity factor, divided by mult, then H
-    the G^-1-weighted one over the other factor, divided by k.  It is equivariant:
+    The Gaussian maximum-likelihood fit (Dutilleul, J. Statist. Comput. Simul.
+    64, 1999): the fixed point H = Phi(H) of the "flip-flop" pair of weighted
+    partial traces, G(H) = tr_mult(K (I kron H^-1)) / mult and
+    Phi(H) = tr_k(K (G(H)^-1 kron I)) / k.  It is equivariant:
     K -> (g kron h)* K (g kron h) maps G, H to g* G g, h* H h (up to a scalar
-    moved between the factors).  Raises ``NumericalDegeneracyError`` when the
-    iteration has not settled after ``_KRON_FIT_ITERS`` rounds.
+    moved between the factors).  With mult = 1 it is (K, [1]), with k = 1
+    ([1], K).
+
+    Else the fit is found by Newton's method on the profile likelihood
+    l(H) = mult log det G(H) + k log det H, which is geodesically convex and
+    stationary exactly at the fixed point.  It starts at H = tr_k(K) / k; each
+    step works in the coordinates in which the current H is I (K congruent by
+    I kron L^-1 for H = L L*), where the gradient is -k (Phi(I) - I) and the
+    Hessian on the trace-free Hermitian directions X (``_traceless_hermitian_basis``;
+    the likelihood does not see the scale of H) is
+    X -> k (X - dPhi(X) + (X F + F X) / 2), dPhi through d(A^-1) = -A^-1 dA A^-1.
+    A step with Newton decrement above 1/4 is damped by halving until I + tX is
+    positive definite and l falls by t/4 of the decrement squared; I + tX is
+    then taken into L through the eigenvectors of X.  Raises
+    ``NumericalDegeneracyError`` when the fit has not stopped (see
+    ``_KRON_FIT_TOL``) after ``_KRON_FIT_STEPS`` steps.
     """
-    K4 = K.reshape(k, mult, k, mult)
-    H = identity(mult)
-    for _ in range(_KRON_FIT_ITERS):
-        G = np.einsum("ambn,nm->ab", K4, np.linalg.inv(H)) / mult
-        H_next = np.einsum("ambn,ba->mn", K4, np.linalg.inv(G)) / k
-        settled = np.linalg.norm(H_next - H) <= _KRON_FIT_TOL * np.linalg.norm(H_next)
-        H = H_next
-        if settled:
-            return G, H
+    if mult == 1:
+        return K, identity(1)
+    if k == 1:
+        return identity(1), K
+    m, E = mult, _traceless_hermitian_basis(mult)
+    p = len(E)
+    Ev = E.reshape(p, -1)
+    EE = (E[:, None] @ E[None]).swapaxes(-1, -2).reshape(p * p, -1)
+    e = identity(m).reshape(-1)
+    # R[(b, a)] is the (i, j) block K[a i, b j]; G^T and Phi are linear in it
+    R = K.reshape(k, m, k, m).transpose(2, 0, 1, 3).reshape(k * k, m, m)
+    L = np.linalg.cholesky(R[:: k + 1].sum(axis=0) / k)
+    U = np.linalg.inv(L)
+    R = U @ R @ U.conj().T
+    last = np.inf
+    for _ in range(_KRON_FIT_STEPS):
+        Rm = R.reshape(k * k, m * m)
+        G = (Rm @ e).reshape(k, k).T / m
+        G_inv = np.linalg.inv(G)
+        F = G_inv.reshape(-1) @ Rm / k - e
+        r = np.linalg.norm(F)
+        if r <= _KRON_FIT_TOL or r > last / 2:
+            return G, L @ L.conj().T
+        # M is I - dPhi plus the (X F + F X) / 2 term, which keeps it positive
+        # semidefinite away from the fixed point too (Kadison-Schwarz), so that
+        # x is a descent direction of l
+        W = (Rm @ Ev.conj().T).T.reshape(p, k, k) @ G_inv.T
+        M = (EE @ F).real.reshape(p, p) + np.eye(p)
+        M -= (W.reshape(p, -1) @ W.swapaxes(1, 2).reshape(p, -1).T).real / (k * m)
+        f = (F @ Ev.conj().T).real
+        x = np.linalg.solve(M, f)
+        mu, V = np.linalg.eigh((x @ Ev).reshape(m, m))
+        decrement, t, last = k * (f @ x), 1.0, r
+        if decrement > 1 / 16:
+            last, start = np.inf, m * np.linalg.slogdet(G)[1]
+            while t > 2**-30:
+                d = 1 + t * mu
+                if d.min() > 0:
+                    trial = Rm @ ((V.conj() / d) @ V.T).reshape(-1) / m
+                    sign, logdet = np.linalg.slogdet(trial.reshape(k, k))
+                    if sign > 0 and m * logdet + k * np.log(d).sum() <= start - t * decrement / 4:
+                        break
+                t /= 2
+        d = np.sqrt(1 + t * mu)
+        L = L @ (V * d)
+        U = V.conj().T / d[:, None]
+        R = U @ R @ U.conj().T
     raise NumericalDegeneracyError(
-        f"stage 'block-similarity': Kronecker fit did not settle in {_KRON_FIT_ITERS} rounds"
+        f"stage 'block-similarity': Kronecker fit did not settle in {_KRON_FIT_STEPS} "
+        f"Newton steps"
     )
+
+
+def _traceless_hermitian_basis(m: int) -> np.ndarray:
+    """A Frobenius-orthonormal basis of the trace-free Hermitian m x m matrices,
+    shape (m^2 - 1, m, m): the generalised Gell-Mann matrices."""
+    out = []
+    for j, l in zip(*np.triu_indices(m, 1)):
+        for z in (1, 1j):
+            E = np.zeros((m, m), dtype=complex)
+            E[j, l], E[l, j] = z, np.conj(z)
+            out.append(E / np.sqrt(2))
+    for s in range(1, m):
+        out.append(np.diag(np.r_[np.ones(s), -s, np.zeros(m - s - 1)]) / np.sqrt(s * (s + 1)))
+    return np.array(out, dtype=complex)
 
 
 def has_reduction_property(
@@ -500,8 +569,9 @@ def has_reduction_property(
     annihilates the kernel of its internal unit e, where C holds all of M_d,
     so that kernel comes out as d one-dimensional pieces of one class: those
     that every generator b maps to at most eq_eps ||b||, a test relative to
-    each generator's own norm and so free of the basis scale.  The unit is
-    then e = Z diag(1, ..., 1, 0_d) Z^-1 over the piece basis Z (see
+    each generator's own norm and so free of the basis scale.  A unital A,
+    which its generators generate together with I, annihilates no piece.  The
+    unit is then e = Z diag(1, ..., 1, 0_d) Z^-1 over the piece basis Z (see
     ``ReductionCertificate``), and A' is C.
     """
     n = A.ambient
@@ -532,7 +602,11 @@ def has_reduction_property(
     norms = _opnorms(B)
     pieces, kernel = [], [np.zeros((n, 0))]
     for p, lab in _decompose(A, C, seed, tol):
-        if p.dim == 1 and np.all(np.linalg.norm(B @ p.frame, axis=(1, 2)) <= tol.eq_eps * norms):
+        if (
+            not A.unital
+            and p.dim == 1
+            and np.all(np.linalg.norm(B @ p.frame, axis=(1, 2)) <= tol.eq_eps * norms)
+        ):
             kernel.append(p.frame)
         else:
             pieces.append((p, lab))
@@ -646,12 +720,24 @@ def _spectral_norm_minimiser(P0: np.ndarray, D: np.ndarray) -> np.ndarray:
 def _check_module_projections(P: np.ndarray, A: AlgebraBasis, what: str) -> None:
     """Raise a breakdown in stage 'projection-constant' unless each p of the stack
     ``P`` has ||p^2 - p|| <= 1e-6 max(1, ||p||)^2 and, for each b of A's
-    generating stack, ||pb - bp|| <= 1e-6 max(1, ||p||) max(1, ||b||)."""
-    scale = np.maximum(1.0, _opnorms(P))
+    generating stack, ||pb - bp|| <= 1e-6 max(1, ||p||) max(1, ||b||).
+
+    Frobenius norms pass a p first, as ``invariant`` does: ||X|| <= ||X||_F and
+    ||p|| >= ||p||_F / sqrt(n), the same for b; operator norms decide only for
+    the p that this bound does not pass."""
     B = _generating_stack(A)
-    drift = _opnorms(P[:, None] @ B - B @ P[:, None]) / np.maximum(1.0, _opnorms(B))
+    squares, drifts = P @ P - P, P[:, None] @ B - B @ P[:, None]
+    root_n = np.sqrt(A.ambient)
+    scale = np.maximum(1.0, np.linalg.norm(P, axis=(-2, -1)) / root_n)
+    size = np.maximum(1.0, np.linalg.norm(B, axis=(-2, -1)) / root_n)
+    passed = np.linalg.norm(squares, axis=(-2, -1)) <= 1e-6 * scale**2
+    passed &= np.all(np.linalg.norm(drifts, axis=(-2, -1)) <= 1e-6 * scale[:, None] * size, axis=1)
+    if passed.all():
+        return
+    scale = np.maximum(1.0, _opnorms(P[~passed]))
+    drift = _opnorms(drifts[~passed]) / np.maximum(1.0, _opnorms(B))
     for fault, defect in (
-        ("are not idempotent", np.max(_opnorms(P @ P - P) / scale**2, initial=0.0)),
+        ("are not idempotent", np.max(_opnorms(squares[~passed]) / scale**2, initial=0.0)),
         ("leave the commutant", np.max(drift / scale[:, None], initial=0.0)),
     ):
         if not defect <= 1e-6:
@@ -740,21 +826,38 @@ def _projection_constant_estimate(
     """``projection_constant_estimate`` at amplification 1, from the reduction
     certificate's piece basis Z and its blocks' Kronecker fits.
 
-    ``_class_lattice`` norms the unions of whole classes.  When some class has
-    multiplicity above 1, the candidates that split a class join them: the
-    canonical atoms and graph candidates of ``_multiplicity_atoms``, then
-    random unions of atoms (the seed's only use here), at most
-    ``_FAMILY_CANDIDATES``, a union joined before or of whole classes skipped.
-    ``_closed_family`` writes down their module projections, one
-    ``_spectral_norm_minimiser`` call solves them all (a start point its dual
-    point certifies is returned as it is, the others from the barrier), and
-    ``_check_module_projections`` re-verifies each result.
+    ``_class_lattice`` norms the unions of whole classes, and
+    ``_split_projections`` adds the least-norm projections of the candidates
+    that split a class of multiplicity above 1.  One
+    ``_check_module_projections`` call re-verifies the atom projections of the
+    lattice and those results together.
     """
     if not cert.verdict:
         raise StructurePreconditionError("projection constants need the reduction property")
-    bound, witnesses = _class_lattice(A, cert)
+    bound, witnesses, atoms = _class_lattice(A, cert)
+    split, subspaces = _split_projections(A, cert, seed)
+    _check_module_projections(np.concatenate([atoms, split]), A, "the module projections")
+    norms = _opnorms(split).tolist()
+    witnesses += zip(subspaces, norms)
+    return max([bound, *norms]), sorted(witnesses, key=lambda t: -t[1])
+
+
+def _split_projections(A: AlgebraBasis, cert: ReductionCertificate, seed: int) -> tuple:
+    """(P, subspaces): the least-norm module projections of the candidates that
+    split a class of multiplicity above 1, and their submodules; none for a
+    multiplicity-free certificate.
+
+    The candidates are the canonical atoms and graph candidates of
+    ``_multiplicity_atoms``, then random unions of atoms (the seed's only use
+    in the estimate), at most ``_FAMILY_CANDIDATES``, a union joined before or
+    of whole classes skipped.  ``_closed_family`` writes down their module
+    projections, and one ``_spectral_norm_minimiser`` call solves them all (a
+    start point its dual point certifies is returned as it is, the others from
+    the barrier).
+    """
+    n = A.ambient
     if all(m == 1 for _, m in cert.blocks):
-        return bound, witnesses
+        return np.zeros((0, n, n), dtype=complex), []
     Z, blocks = cert.basis, list(cert.blocks)
     starts = np.cumsum([0] + [k * m for k, m in blocks])
     columns = [
@@ -787,16 +890,13 @@ def _projection_constant_estimate(
         if mask.any():
             union(tuple(np.flatnonzero(mask).tolist()))
 
-    n, Z_inv, candidates = A.ambient, cert.basis_inv, candidates[:_FAMILY_CANDIDATES]
+    Z_inv, candidates = cert.basis_inv, candidates[:_FAMILY_CANDIDATES]
     families = [_closed_family(Z, Z_inv, blocks, starts, V) for V in candidates]
     D = np.zeros((len(families), max(len(f[1]) for f in families), n, n), dtype=complex)
     for w, (_, Dw, _) in enumerate(families):
         D[w, : len(Dw)] = Dw
     P = _spectral_norm_minimiser(np.array([f[0] for f in families]), D)
-    _check_module_projections(P, A, "the least-norm projections")
-    norms = _opnorms(P).tolist()
-    witnesses += zip([f[2] for f in families], norms)
-    return max(bound, *norms), sorted(witnesses, key=lambda t: -t[1])
+    return P, [f[2] for f in families]
 
 
 def _multiplicity_atoms(Y: np.ndarray, k: int, m: int, G: np.ndarray, H: np.ndarray):
@@ -858,9 +958,10 @@ def _closed_family(Z: np.ndarray, Z_inv: np.ndarray, layout: list, starts, V: li
     return p0, Q.T.reshape(-1, n, n), witness
 
 
-def _class_lattice(A: AlgebraBasis, cert: ReductionCertificate) -> tuple[float, list]:
-    """The largest norm of a module projection onto a union of whole atoms, and
-    its witnesses: the maximising union, then the atoms, by descending norm.
+def _class_lattice(A: AlgebraBasis, cert: ReductionCertificate) -> tuple:
+    """The largest norm of a module projection onto a union of whole atoms, its
+    witnesses (the maximising union, then the atoms, by descending norm) and the
+    (r, n, n) stack of atom projections, for the caller's gate.
 
     The atoms are the isotypic classes of the piece basis Z, and the
     annihilated summand when d > 0; pairwise non-isomorphic, so a union U has
@@ -872,15 +973,13 @@ def _class_lattice(A: AlgebraBasis, cert: ReductionCertificate) -> tuple[float, 
     2^(r-1) - 1 up to r = 12.  Batched ``_opnorms`` calls take their norms;
     the bound is max(1, their maximum), the whole space giving 1.
 
-    The r atom projections pass the minimiser's gates first
-    (``_check_module_projections``), and must sum to I to 1e-6.
+    The r atom projections must sum to I to 1e-6.
     """
     n, Z, Z_inv, d = A.ambient, cert.basis, cert.basis_inv, cert.degenerate_dim
     sizes = [k * m for k, m in cert.blocks] + [d] * bool(d)
     r = len(sizes)
     owner = np.repeat(np.arange(r), sizes)
     P = (Z * (owner == np.arange(r)[:, None])[:, None]) @ Z_inv
-    _check_module_projections(P, A, "the atom projections")
     defect = operator_norm(P.sum(axis=0) - identity(n))
     if not defect <= 1e-6:
         raise NumericalDegeneracyError(
@@ -891,7 +990,7 @@ def _class_lattice(A: AlgebraBasis, cert: ReductionCertificate) -> tuple[float, 
     atoms = [Subspace.from_frame(np.linalg.qr(Z[:, owner == a])[0]) for a in range(r)]
     witnesses = list(zip(atoms, _opnorms(P).tolist()))
     if r == 1:
-        return 1.0, witnesses
+        return 1.0, witnesses, P
     # the atoms beside atom 0 of each union, 1 + s of them, bit j of the
     # number being atom j + 1
     counts = sorted(range(r - 1), key=lambda s: abs(2 * s + 2 - r))
@@ -909,7 +1008,7 @@ def _class_lattice(A: AlgebraBasis, cert: ReductionCertificate) -> tuple[float, 
     if unions[best].sum() > 1:
         union = Subspace.from_frame(np.linalg.qr(Z[:, cols[best]])[0])
         witnesses.insert(0, (union, float(norms[best])))
-    return max(1.0, float(norms[best])), sorted(witnesses, key=lambda t: -t[1])
+    return max(1.0, float(norms[best])), sorted(witnesses, key=lambda t: -t[1]), P
 
 
 def _by_number(n: int, k: int):

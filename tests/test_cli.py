@@ -358,13 +358,23 @@ class TestGallery:
         assert condition == pytest.approx(0.02**-1.5, rel=1e-6)
 
     def test_graph_truncation_breakdown_names_stage(self, capsys):
-        # past the reach at k = 4 (decay 0.002) the Kronecker fit does not
-        # settle within its round cap
+        # past the reach at k = 6 (decay 0.01) the trace form loses rank, and
+        # the no it would give is refused with its stage and margin
         code, out, err = run(
-            capsys, ["gallery", "graph_truncation", "--k", "4", "--decay", "0.001"]
+            capsys, ["gallery", "graph_truncation", "--k", "6", "--decay", "0.005"]
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: stage 'block-similarity': Kronecker fit did not settle")
+        assert err.startswith("error: stage 'radical': the witness is not invariant (residual")
+
+    @pytest.mark.parametrize("k, decay", [(4, 0.005), (4, 0.003), (4, 0.002), (6, 0.05), (6, 0.02)])
+    def test_graph_truncation_reach_is_free_of_the_seed(self, k, decay):
+        # every analysis seed 0-19 reaches a yes with its similarity
+        A = truncated_graph_example(k, decay)
+        for seed in range(20):
+            report = analysis_report(A, seed, DEFAULT_TOL)
+            assert report["similarity_condition"] == pytest.approx(
+                decay ** (-(k - 1) / 2), rel=1e-6
+            ), seed
 
     @pytest.mark.parametrize("decay", [0.5, 0.2, 0.1, 0.02])
     def test_graph_truncation_bound_is_closed_form(self, decay):
@@ -508,8 +518,13 @@ class TestEntryPoints:
               "--amplification", "2"], "3      29          5          5     29"),
             (["mn_walls.py", "3"], "3"),
             (["mn_walls.py", "--central", "3"], "3"),
+            (["truncation_reach.py", "--k", "3", "--decays", "0.5", "--seeds", "2"],
+             "3      0.5    2/2    -"),
         ],
-        ids=["projection_constant_survey", "digraph_census", "mn_walls", "mn_walls_central"],
+        ids=[
+            "projection_constant_survey", "digraph_census", "mn_walls", "mn_walls_central",
+            "truncation_reach",
+        ],
     )
     def test_scripts_run(self, argv, last_line):
         # both scripts call into the estimate and decision paths; tiny sizes

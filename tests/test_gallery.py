@@ -3,8 +3,11 @@ import pytest
 
 from reduction_lab.algebra import (
     SubspaceLattice,
+    _generating_stack,
     alg_of_lattice,
+    bicommutant,
     center_and_minimal_central_idempotents,
+    generate_algebra,
     is_reflexive,
     radical,
     span_equal,
@@ -199,6 +202,23 @@ class TestTruncatedGraph:
     def test_wedderburn_profile(self):
         prof = wedderburn_similarity(truncated_graph_example(3, 0.5), seed=4)
         assert prof.blocks == ((3, 2),)
+
+    @pytest.mark.parametrize(
+        "k, decay",
+        [(4, d) for d in (0.5, 0.2, 0.1, 0.02, 0.005, 0.002, 0.001)]
+        + [(6, d) for d in (0.5, 0.1, 0.05, 0.02, 0.01)],
+    )
+    def test_shift_generators_regenerate_the_algebra(self, k, decay):
+        # the doubled up- and down-shifts, with I, generate A; they are the
+        # stack its commutant, invariance and Hom systems are built from
+        A = truncated_graph_example(k, decay)
+        assert span_equal(generate_algebra(A.generators, unital=True), A)
+        assert len(_generating_stack(A)) == 2
+
+    @pytest.mark.parametrize("decay", [0.01, 0.005, 0.002])
+    def test_bicommutant_keeps_every_direction(self, decay):
+        A = truncated_graph_example(4, decay)
+        assert bicommutant(A).dim == 16
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(MalformedInputError):

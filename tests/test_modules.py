@@ -334,6 +334,14 @@ class TestHasReductionProperty:
         ok, cert = has_reduction_property(A)
         assert ok and cert.blocks == ((3, 1),) and cert.degenerate_dim == 0
 
+    def test_unital_algebra_annihilates_nothing(self):
+        # C^2 from one generator diag(1, 0), which kills e_2: with I in the
+        # algebra e_2 is a piece of its own, without it the annihilated summand
+        g = np.diag([1.0, 0.0]).astype(complex)
+        for unital, blocks, degenerate in [(True, ((1, 1), (1, 1)), 0), (False, ((1, 1),), 1)]:
+            ok, cert = has_reduction_property(generate_algebra([g], unital=unital))
+            assert ok and cert.blocks == blocks and cert.degenerate_dim == degenerate
+
     def test_against_sampled_complement_oracle(self, rng):
         for trial in range(20):
             if trial % 2 == 0:
@@ -954,6 +962,31 @@ class TestLatticeProjectionConstant:
                 for U in itertools.combinations(idems, size):
                     assert bound >= operator_norm(sum(U)) * (1 - 1e-9)
             tested += 1
+
+    @pytest.mark.parametrize(
+        "make, count",
+        [(lambda: a_lambda(2.0), 2), (lambda: truncated_graph_example(4, 0.2), 7)],
+        ids=["a_lambda", "trunc-k4-0.2"],
+    )
+    def test_one_gate_frobenius_first(self, monkeypatch, make, count):
+        # one gate per estimate, over the atom projections and the split
+        # candidates' results together; on valid projections the Frobenius
+        # bound passes every one of them, with no operator norm taken
+        A = make()
+        cert = has_reduction_property(A, 42)[1]
+        gate, opnorms, stacks = modules._check_module_projections, modules._opnorms, []
+
+        def counted(P, *args):
+            stacks.append(len(P))
+            calls = []
+            monkeypatch.setattr(modules, "_opnorms", lambda X: calls.append(1) or opnorms(X))
+            gate(P, *args)
+            monkeypatch.setattr(modules, "_opnorms", opnorms)
+            assert not calls
+
+        monkeypatch.setattr(modules, "_check_module_projections", counted)
+        modules._projection_constant_estimate(A, cert, 42, DEFAULT_TOL)
+        assert stacks == [count]
 
     @pytest.mark.parametrize("corrupt", ["skewed-piece", "repeated-piece", "inverse-row"])
     def test_corrupted_atom_projection_is_caught(self, corrupt):

@@ -460,11 +460,55 @@ class TestKroneckerFit:
             assert operator_norm(H - H0 / c) <= 1e-10 * operator_norm(H)
 
     def test_round_cap_raises(self, monkeypatch):
-        # an exact product needs a second round to see that the first settled
+        # a K that is no Kronecker product is not fitted by the start point
+        # H = tr_k(K) / k, so one step is too few
         K = np.kron(np.diag([1.0, 4.0]), np.diag([1.0, 9.0])).astype(complex)
-        monkeypatch.setattr(modules, "_KRON_FIT_ITERS", 1)
+        K[0, 1] = K[1, 0] = 0.5
+        monkeypatch.setattr(modules, "_KRON_FIT_STEPS", 1)
         with pytest.raises(NumericalDegeneracyError, match="stage 'block-similarity'"):
             _kronecker_fit(K, 2, 2)
+
+    @pytest.mark.parametrize("k, mult", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+    def test_newton_residual_is_at_its_stopping_rule(self, rng, k, mult):
+        # on a K that is no Kronecker product the fit is the fixed point
+        # H = Phi(H) of the flip-flop pair, to the whitened residual it stops at
+        X = rng.standard_normal((k * mult, 3 * k * mult)) + 1j * rng.standard_normal(
+            (k * mult, 3 * k * mult)
+        )
+        K = X @ X.conj().T
+        G, H = _kronecker_fit(K, k, mult)
+        K4 = K.reshape(k, mult, k, mult)
+        assert np.allclose(G, np.einsum("ambn,nm->ab", K4, np.linalg.inv(H)) / mult, rtol=1e-13)
+        Phi = np.einsum("ambn,ba->mn", K4, np.linalg.inv(G)) / k
+        L_inv = np.linalg.inv(np.linalg.cholesky(H))
+        residual = np.linalg.norm(L_inv @ (Phi - H) @ L_inv.conj().T)
+        assert residual <= modules._KRON_FIT_TOL
+
+    def test_matches_the_flip_flop(self, rng):
+        # the flip-flop iteration, kept as the reference for the Newton fit
+        def flip_flop(K, k, mult):
+            K4, H = K.reshape(k, mult, k, mult), np.eye(mult)
+            for _ in range(100000):
+                G = np.einsum("ambn,nm->ab", K4, np.linalg.inv(H)) / mult
+                H_next = np.einsum("ambn,ba->mn", K4, np.linalg.inv(G)) / k
+                if np.linalg.norm(H_next - H) <= 1e-13 * np.linalg.norm(H_next):
+                    return G, H_next
+                H = H_next
+            raise AssertionError("the flip-flop did not settle")
+
+        for k, mult, cond in [(2, 2, 10.0), (4, 2, 1e3), (3, 3, 1e2), (2, 4, 1e4)]:
+            X = random_invertible(k * mult, rng, max_cond=cond)
+            K = X.conj().T @ X
+            got, want = np.kron(*_kronecker_fit(K, k, mult)), np.kron(*flip_flop(K, k, mult))
+            assert operator_norm(got - want) <= 1e-9 * operator_norm(want)
+
+    def test_closed_forms(self, rng):
+        # one copy, or a multiplicity space alone: the fit is K itself
+        X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        K = X @ X.conj().T + np.eye(3)
+        for k, mult, want in [(3, 1, (K, np.eye(1))), (1, 3, (np.eye(1), K))]:
+            G, H = _kronecker_fit(K, k, mult)
+            assert np.array_equal(G, want[0]) and np.array_equal(H, want[1])
 
 
 class TestSimilarityBoundReport:
