@@ -21,8 +21,8 @@ from reduction_lab.gallery import truncated_graph_example
 from reduction_lab.tolerance import DEFAULT_TOL
 
 DECAYS = {
-    4: [0.005, 0.004, 0.003, 0.002, 0.001, 0.0005],
-    6: [0.1, 0.05, 0.02, 0.01, 0.005],
+    4: [0.005, 0.004, 0.003, 0.002, 0.001, 0.0005, 0.0003, 0.0001, 1e-5],
+    6: [0.1, 0.05, 0.02, 0.01, 0.008, 0.005, 1e-5],
 }
 
 

@@ -134,16 +134,16 @@ def _tolerance(rank_eps, eq_eps) -> Tolerance:
 def analysis_report(A, seed: int, tol: Tolerance) -> dict:
     """Run the full pipeline on an algebra and collect the report dictionary.
 
-    On a yes the commutant is the certificate's, and A'' = A exactly when no
+    The commutant is the certificate's.  On a yes A'' = A exactly when no
     summand is annihilated: then I is in A, which is similar to a unital
     *-algebra (double commutant theorem), and else I is in A'' but not in A.
     """
     t0 = time.perf_counter()
     verdict, cert = has_reduction_property(A, seed=seed, tol=tol)
+    comm = cert.commutant
     if verdict:
-        comm, bicomm_equal = cert.commutant, cert.degenerate_dim == 0
+        bicomm_equal = cert.degenerate_dim == 0
     else:
-        comm = commutant(A, tol)
         bicomm_equal = span_equal(A, commutant(comm, tol), tol)
     report = {
         "algebra_dimension": A.dim,

@@ -222,9 +222,10 @@ def truncated_graph_example(k: int, decay: float) -> AlgebraBasis:
     the doubled up-shift diag(U, T U T^-1) and down-shift diag(U^T, T U^T T^-1),
     U with ones on the superdiagonal, whose entries spread only by decay^-1,
     and with I they generate the algebra.  Every analysis seed 0-19 passes
-    down to decay 0.002 at k = 4 and 0.02 at k = 6
-    (``scripts/truncation_reach.py``); from decay 0.0004 at k = 4 the trace
-    form loses rank.
+    down to decay 0.001 at k = 4 and 0.02 at k = 6, and some down to 0.0001
+    and 0.005 (``scripts/truncation_reach.py``).  From decay 0.0004 at k = 4
+    and 0.008 at k = 6 the trace form loses rank, and the yes is certified
+    without it, by the decomposition's Burnside count.
 
     Shrinking the decay drives the smallest singular value of T toward zero,
     and the projection constants over the graph submodules grow without

@@ -15,8 +15,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraBasis,
-    _basis_from_frame,
-    _frame_spans,
     _generating_stack,
     commutant,
     radical,
@@ -51,7 +49,6 @@ __all__ = [
     "IntertwinerSpace",
     "ReductionCertificate",
     "invariant",
-    "restriction_to_invariant",
     "irreducible_decomposition",
     "intertwiners",
     "module_complement",
@@ -176,20 +173,6 @@ def _radical_element_margins(r: np.ndarray, A: AlgebraBasis, tol: Tolerance) -> 
     return float(residual), float(power / max(1.0, size) ** A.ambient)
 
 
-def restriction_to_invariant(
-    A: AlgebraBasis, V: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> AlgebraBasis:
-    """The algebra of restricted actions on an invariant subspace, in frame
-    coordinates: its basis is the orthonormal frame of the restricted basis,
-    and its generators are the restricted generators F* g F, for the frame F of V."""
-    F, n = V.frame, A.ambient
-    restricted = (F.conj().T @ np.reshape(A.basis, (-1, n, n)) @ F).reshape(A.dim, V.dim**2)
-    frame = Subspace.from_spanning(restricted.T, ambient=V.dim**2, tol=tol).frame
-    gens = tuple(F.conj().T @ np.reshape(A.generators, (-1, n, n)) @ F)
-    unital = bool(frame.shape[1]) and _frame_spans(frame, identity(V.dim), tol)
-    return _basis_from_frame(frame, V.dim, unital, gens)
-
-
 def algebra_identity_element(
     A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray | None:
@@ -203,7 +186,7 @@ def algebra_identity_element(
     return None if coeff is None else A.combine(coeff)
 
 
-_SPLIT_RETRIES = 40  # draws of ``_decompose`` before it gives up
+_SPLIT_RETRIES = 40  # draws of ``_draws`` before the splitter gives up
 
 
 def irreducible_decomposition(
@@ -211,76 +194,99 @@ def irreducible_decomposition(
 ) -> list[tuple[Subspace, int]]:
     """Direct-sum decomposition of C^n into irreducible submodules with class labels.
 
-    For a semisimple A the eigenspaces of a generic element z of the commutant
-    are irreducible submodules (Murota, Kanno, Kojima & Kojima, Japan J. Indust.
-    Appl. Math. 27, 2010).  Each draw takes z at random in the commutant and
-    spans each of its eigenvalue clusters once; the draw is kept when every
-    piece has its cluster's dimension, is invariant and is irreducible, and is
-    made again otherwise, at most ``_SPLIT_RETRIES`` times.  The pieces are
-    sorted by ``canonical_key`` and labelled by ``_class_labels``, which also
-    certifies that they are irreducible.  The output order is deterministic.
+    Read from the reduction certificate (``has_reduction_property``): a yes
+    carries the class-labelled pieces of one commutant draw (``_draws``).  A
+    no, or a yes with an annihilated summand, is a structural precondition
+    failure.  The output order is deterministic.
     """
-    if radical(A, tol).dim != 0:
+    verdict, cert = has_reduction_property(A, seed, tol)
+    if not verdict:
         raise StructurePreconditionError("decomposition needs a semisimple algebra")
-    if A.dim == 0:
-        raise StructurePreconditionError("the zero algebra acts degenerately")
-    r, _ = rank_and_range(np.hstack(A.basis), tol)
-    if r != A.ambient:
+    if cert.degenerate_dim:
         raise StructurePreconditionError(
             "algebra acts degenerately; strip the annihilated complement first"
         )
-    return _decompose(A, commutant(A, tol), seed, tol)
+    return list(cert.pieces)
 
 
-def _decompose(
-    A: AlgebraBasis, C: AlgebraBasis, seed: int, tol: Tolerance
-) -> list[tuple[Subspace, int]]:
-    """``irreducible_decomposition`` of a semisimple A, given its commutant C; the
-    preconditions are the caller's.  Directions that A annihilates come out as
-    one-dimensional pieces, all of one class."""
-    n = A.ambient
+def _draws(A: AlgebraBasis, C: AlgebraBasis, seed: int, tol: Tolerance):
+    """The draws of the commutant splitter, lazily, at most ``_SPLIT_RETRIES``.
+
+    For a semisimple A the eigenspaces of a generic element z of its commutant
+    C are irreducible submodules (Murota, Kanno, Kojima & Kojima, Japan J.
+    Indust. Appl. Math. 27, 2010).  A draw spans each eigenvalue cluster of a
+    random z in C once, sorts the pieces by ``canonical_key`` and labels them
+    (``_class_labels``).  The one-dimensional pieces that every generator b
+    maps to at most eq_eps ||b|| span the kernel of the unit (none when A is
+    unital), a test free of the basis scale.  A draw yields (pieces, homs,
+    kernel): the other pieces as (piece, label), their intertwiners and the
+    kernel's frames, when every piece has its cluster's dimension, is
+    invariant and is labelled, and the sum of k^2 over the classes is dim A
+    (see ``has_reduction_property``); else None.
+    """
+    n, B = A.ambient, _generating_stack(A)
+    norms = _opnorms(B)
     rng = np.random.default_rng(seed)
     for _ in range(_SPLIT_RETRIES):
         evals, vecs = np.linalg.eig(C.combine(rng.standard_normal(C.dim)))
         clusters = eig_clusters(evals)
         pieces = [Subspace.from_spanning(vecs[:, cl], ambient=n, tol=tol) for cl in clusters]
-        if any(p.dim != len(cl) or not invariant(p, A, tol) for p, cl in zip(pieces, clusters)):
+        kept = all(p.dim == len(cl) and invariant(p, A, tol) for p, cl in zip(pieces, clusters))
+        labelled = kept and _class_labels(sorted(pieces, key=Subspace.canonical_key), A, tol)
+        if not labelled:
+            yield None
             continue
-        pieces.sort(key=lambda s: s.canonical_key())
-        labels = _class_labels(pieces, A, tol)
-        if labels is not None:
-            return list(zip(pieces, labels))
-    raise NumericalDegeneracyError("random commutant splitter failed repeatedly")
+        pieces, homs, kernel = [], [], []
+        for p, lab, T in labelled:
+            if (
+                not A.unital
+                and p.dim == 1
+                and np.all(np.linalg.norm(B @ p.frame, axis=(1, 2)) <= tol.eq_eps * norms)
+            ):
+                kernel.append(p.frame)
+            else:
+                pieces.append((p, lab))
+                homs.append(T)
+        size = sum(k * k for k in {lab: p.dim for p, lab in pieces}.values())
+        yield (pieces, homs, kernel) if size == A.dim else None
 
 
 def _class_labels(pieces: list, A: AlgebraBasis, tol: Tolerance) -> list | None:
-    """Class labels of the invariant ``pieces`` of a semisimple A, in order, or None
-    when one of them is not irreducible.
+    """(piece, label, T) for each of the invariant ``pieces``, in order, where T
+    spans Hom(V, piece) from the first piece V of its class (I for V), or None
+    when a piece has dim End != 1 or a Hom between copies is not one-dimensional.
 
     Each unlabelled piece V in turn gets one stacked ``_intertwiner_systems``
     call: V's own system, then V against every later unlabelled piece W of its
-    dimension, ranked by one stacked QR (with no Q, when the systems are tall)
-    and one stacked SVD.  dim End(V) = 1 certifies V irreducible (Schur; A is
-    semisimple), and a W with Hom(V, W) != 0 is then a copy of V.
+    dimension, cut to triangular factors by one stacked QR (with no Q, when the
+    systems are tall).  An SVD with no vectors ranks V's own: dim End(V) = 1
+    certifies V irreducible when A is semisimple (Schur).  One stacked SVD
+    ranks the others; a W with Hom(V, W) != 0 is a copy of V, and T is the
+    last right singular vector, from the factor ``intertwiners`` reads.
     """
-    labels = [-1] * len(pieces)
+    labels: dict = {}
     classes = 0
     for i, V in enumerate(pieces):
-        if labels[i] >= 0:
+        if i in labels:
             continue
-        rest = [j for j in range(i + 1, len(pieces)) if labels[j] < 0 and pieces[j].dim == V.dim]
+        rest = [j for j in range(i + 1, len(pieces)) if j not in labels and pieces[j].dim == V.dim]
         S = _intertwiner_systems(A, [V] * (1 + len(rest)), [V] + [pieces[j] for j in rest])
         if S.shape[1] > S.shape[2]:
             S = np.linalg.qr(S, mode="r")
-        homs = [V.dim**2 - _rank(s, tol) for s in np.linalg.svd(S, compute_uv=False)]
-        if homs[0] != 1:
+        q = V.dim**2
+        if q - _rank(np.linalg.svd(S[0], compute_uv=False), tol) != 1:
             return None
-        labels[i] = classes
-        for j, h in zip(rest, homs[1:]):
-            if h:
-                labels[j] = classes
+        labels[i] = (classes, identity(V.dim))
+        if rest:
+            _, sig, Vh = np.linalg.svd(S[1:], full_matrices=S.shape[1] < S.shape[2])
+            for j, s, vh in zip(rest, sig, Vh):
+                h = q - _rank(s, tol)
+                if h > 1:
+                    return None
+                if h:
+                    labels[j] = (classes, vh[-1].conj().reshape(V.dim, V.dim))
         classes += 1
-    return labels
+    return [(p, *labels[i]) for i, p in enumerate(pieces)]
 
 
 def _intertwiner_systems(A: AlgebraBasis, sources: list, targets: list) -> np.ndarray:
@@ -377,15 +383,16 @@ class ReductionCertificate:
 
     For a yes the certificate is a Wedderburn block profile; for a no it is a
     nonzero radical element together with an invariant subspace that admits no
-    module complement.  A yes also carries to every later stage the
+    module complement.  Both carry the commutant of A, with a
+    Frobenius-orthonormal basis.  A yes also carries to every later stage the
     class-labelled irreducible pieces on which A acts nonzero, one intertwiner
     T per piece q (``homs``: b (q.frame T) = (q.frame T)(F0* b F0) over the
-    frame F0 of its class's first piece, whose T is I), the commutant of A,
-    with a Frobenius-orthonormal basis, and the piece basis Z = [Y_1 ... Y_r K]
-    with its inverse.  Y_c lays the pieces of the c-th of ``blocks`` side by
-    side, each composed with its intertwiner and interleaved, so that
-    b Y_c = Y_c (x kron I_mult); K is an orthonormal frame of the kernel of
-    the internal unit.  In the coordinates of Z, A is the literal block algebra.
+    frame F0 of its class's first piece, whose T is I), and the piece basis
+    Z = [Y_1 ... Y_r K] with its inverse.  Y_c lays the pieces of the c-th of
+    ``blocks`` side by side, each composed with its intertwiner and
+    interleaved, so that b Y_c = Y_c (x kron I_mult); K is an orthonormal
+    frame of the kernel of the internal unit.  In the coordinates of Z, A is
+    the literal block algebra.
     """
 
     verdict: bool
@@ -554,78 +561,59 @@ def _traceless_hermitian_basis(m: int) -> np.ndarray:
 def has_reduction_property(
     A: AlgebraBasis, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, ReductionCertificate]:
-    """Decide the reduction property algebraically: it holds iff the radical is zero.
+    """Decide the reduction property: it holds iff A is semisimple.
 
-    The invariant-subspace family of a matrix algebra is generally a
-    continuum, so the decision is made through semisimplicity; sampled
-    complement searches cross-check it in the test suite.  A no is reported
-    only when its witness, the range of the radical, is invariant, and its
-    radical element r lies in A and is nilpotent, each to eq_eps
-    (``_invariance_residual``, ``_radical_element_margins``); else it is a
-    breakdown in stage 'radical', with the failed check's margin.
+    One structure pass decides it.  The commutant C of A is solved once, and
+    one ``_draws`` draw from it splits C^n into invariant pieces with
+    dim End = 1, copies joined by one-dimensional Homs, and the annihilated
+    kernel of the unit.  Then A lies in the block algebra (+) M_k kron I_mult
+    (+) 0_d over the piece basis Z (see ``ReductionCertificate``), and
+    dim A = sum of k^2 over the classes forces equality (Burnside's theorem;
+    Lomonosov & Rosenthal, Linear Algebra Appl. 383, 2004): the verdict is
+    yes, with no trace form.  T_2 has one piece with dim End = 1, but 4 > 3.
 
-    A yes is the one structure pass of an analysis.  The commutant C of A is
-    solved once, and C^n is split by one ``_decompose`` draw from it.  A
-    annihilates the kernel of its internal unit e, where C holds all of M_d,
-    so that kernel comes out as d one-dimensional pieces of one class: those
-    that every generator b maps to at most eq_eps ||b||, a test relative to
-    each generator's own norm and so free of the basis scale.  A unital A,
-    which its generators generate together with I, annihilates no piece.  The
-    unit is then e = Z diag(1, ..., 1, 0_d) Z^-1 over the piece basis Z (see
-    ``ReductionCertificate``), and A' is C.
+    Otherwise the radical, the kernel of the trace form, decides.  A nonzero
+    radical is a no once its checks pass (``_radical_certificate``); a zero
+    radical is a yes from the first later draw that passes, the same
+    generator drawing on.  Both certificates carry C.
     """
-    n = A.ambient
-    rad = radical(A, tol)
-    if rad.dim:
-        _, witness = rank_and_range(np.hstack(rad.basis), tol)
-        residual = _invariance_residual(witness, A)
-        if not residual <= tol.eq_eps:
-            raise NumericalDegeneracyError(
-                f"stage 'radical': the witness is not invariant (residual {residual:.2e})"
-            )
-        outside, power = _radical_element_margins(rad.basis[0], A, tol)
-        if not outside <= tol.eq_eps:
-            raise NumericalDegeneracyError(
-                f"stage 'radical': the radical element lies outside the algebra "
-                f"(residual {outside:.2e})"
-            )
-        if not power <= tol.eq_eps:
-            raise NumericalDegeneracyError(
-                f"stage 'radical': the radical element is not nilpotent "
-                f"(||r^n|| {power:.2e} relative)"
-            )
-        return False, ReductionCertificate(
-            False, radical_element=rad.basis[0], witness=witness, radical_dim=rad.dim
-        )
     C = commutant(A, tol)
-    B = _generating_stack(A)
-    norms = _opnorms(B)
-    pieces, kernel = [], [np.zeros((n, 0))]
-    for p, lab in _decompose(A, C, seed, tol):
-        if (
-            not A.unital
-            and p.dim == 1
-            and np.all(np.linalg.norm(B @ p.frame, axis=(1, 2)) <= tol.eq_eps * norms)
-        ):
-            kernel.append(p.frame)
-        else:
-            pieces.append((p, lab))
-    homs, first = [], {}
-    for q, lab in pieces:
-        if lab not in first:
-            first[lab] = q
-            homs.append(identity(q.dim))
-            continue
-        tw = intertwiners(first[lab], q, A, tol)
-        if tw.dim != 1:
-            raise NumericalDegeneracyError(
-                f"stage 'block-similarity': Hom between isomorphic pieces has dimension {tw.dim}"
-            )
-        homs.append(tw.basis[0])
-    blocks, Z, Z_inv = _piece_basis(pieces, homs, np.linalg.qr(np.hstack(kernel))[0])
+    draws = _draws(A, C, seed, tol)
+    drawn = next(draws)
+    if drawn is None:
+        rad = radical(A, tol)
+        if rad.dim:
+            return False, _radical_certificate(rad, A, C, tol)
+        drawn = next(filter(None, draws), None)
+        if drawn is None:
+            raise NumericalDegeneracyError("random commutant splitter failed repeatedly")
+    pieces, homs, kernel = drawn
+    K = np.linalg.qr(np.hstack([np.zeros((A.ambient, 0))] + kernel))[0]
+    blocks, Z, Z_inv = _piece_basis(pieces, homs, K)
     return True, ReductionCertificate(
-        True, blocks, len(kernel) - 1, pieces=tuple(pieces), homs=tuple(homs), commutant=C,
+        True, blocks, len(kernel), pieces=tuple(pieces), homs=tuple(homs), commutant=C,
         basis=Z, basis_inv=Z_inv,
+    )
+
+
+def _radical_certificate(
+    rad: AlgebraBasis, A: AlgebraBasis, C: AlgebraBasis, tol: Tolerance
+) -> ReductionCertificate:
+    """The no-certificate of a nonzero radical.  It is reported only when its
+    witness, the range of the radical, is invariant, and its radical element r
+    lies in A and is nilpotent, each to eq_eps; else it is a breakdown in stage
+    'radical', with the first failed check's margin."""
+    _, witness = rank_and_range(np.hstack(rad.basis), tol)
+    outside, power = _radical_element_margins(rad.basis[0], A, tol)
+    for fault, margin in (
+        ("the witness is not invariant (residual {:.2e})", _invariance_residual(witness, A)),
+        ("the radical element lies outside the algebra (residual {:.2e})", outside),
+        ("the radical element is not nilpotent (||r^n|| {:.2e} relative)", power),
+    ):
+        if not margin <= tol.eq_eps:
+            raise NumericalDegeneracyError("stage 'radical': " + fault.format(margin))
+    return ReductionCertificate(
+        False, radical_element=rad.basis[0], witness=witness, radical_dim=rad.dim, commutant=C
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraBasis
+from .algebra import AlgebraBasis, _generating_stack
 from .errors import (
     FamilyTooLargeError,
     NumericalDegeneracyError,
@@ -241,16 +241,20 @@ def orthogonalize_matrix_units(
     return SimilarityReport.from_matrix(S)
 
 
-def _self_adjointness_defect(conj: list, tol: Tolerance) -> float:
-    """max over the conjugated basis c of the relative distance from c* to its
-    span, from one batched residual."""
-    if not conj:
-        return 0.0
-    n = conj[0].shape[0]
-    F = AlgebraBasis(ambient=n, basis=conj, unital=False).frame(tol)
-    V = np.reshape(conj, (-1, n, n)).conj().swapaxes(-1, -2).reshape(len(conj), -1).T
-    resid = np.linalg.norm(V - F @ (F.conj().T @ V), axis=0)
-    return float(np.max(resid / np.maximum(1.0, np.linalg.norm(V, axis=0))))
+def _self_adjointness_defect(conj: np.ndarray, blocks: tuple) -> float:
+    """The largest relative Frobenius distance of a matrix c of the (g, n, n) stack
+    ``conj`` from the block algebra (+) M_k kron I_mult (+) 0 of ``blocks``, the
+    coordinates after them annihilated: ||R||_F / ||c||_F, where R is c less
+    y kron I_mult on each block M of c, for y = tr_mult(M) / mult.  Relative to
+    each c's own norm, it does not depend on the scale of the algebra."""
+    R, at = conj.copy(), 0
+    for k, m in blocks:
+        M = R[:, at : at + k * m, at : at + k * m]
+        M -= np.kron(np.einsum("gajbj->gab", M.reshape(-1, k, m, k, m)) / m, np.eye(m))
+        at += k * m
+    resid, size = (np.linalg.norm(X, axis=(-2, -1)) for X in (R, conj))
+    resid = np.divide(resid, size, out=np.zeros_like(resid), where=size > 0)
+    return float(np.max(resid, initial=0.0))
 
 
 def wedderburn_similarity(
@@ -281,7 +285,13 @@ def _wedderburn_similarity(
 ) -> WedderburnProfile:
     """``wedderburn_similarity`` from the algebra's reduction certificate, whose
     piece basis, its inverse and its blocks' Kronecker fits it reads (it draws
-    no random numbers and solves for no intertwiner)."""
+    no random numbers and solves for no intertwiner).
+
+    As a yes certificate has sum k^2 = dim A, S A S^-1 is the block algebra
+    (+) M_k kron I_mult (+) 0_d, and so *-closed, once each generator b has
+    S b S^-1 in it.  That is the final check, to 1e-7 relative
+    (``_self_adjointness_defect``); a miss is a breakdown in stage
+    'final-check'."""
     if not cert.verdict:
         raise StructurePreconditionError("algebra does not have the reduction property")
     # Z^-1 alone carries block i onto x kron I_mult on its coordinates and the
@@ -295,8 +305,8 @@ def _wedderburn_similarity(
         at += k * mult
 
     similarity = SimilarityReport.from_matrix(S)
-    defect = _self_adjointness_defect([similarity.conjugate(b) for b in A.basis], tol)
-    if defect > 1e-7:
+    defect = _self_adjointness_defect(similarity.conjugate(_generating_stack(A)), cert.blocks)
+    if not defect <= 1e-7:
         raise NumericalDegeneracyError(
             f"stage 'final-check': conjugated span is not *-closed (defect {defect:.2e})"
         )

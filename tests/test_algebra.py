@@ -32,7 +32,6 @@ from reduction_lab.linalg import Subspace, null_space, operator_norm, sylvester_
 from reduction_lab.modules import (
     has_reduction_property,
     invariant,
-    restriction_to_invariant,
     sample_invariant_subspaces,
 )
 from reduction_lab.sampling import (
@@ -541,11 +540,6 @@ class TestGeneratorsAct:
             assert all(invariant(V, plain) for V in subs)
             others = [random_subspace(A.ambient, k, rng) for k in range(1, A.ambient)]
             assert [invariant(V, A) for V in others] == [invariant(V, plain) for V in others]
-            V = max(subs, key=lambda V: (V.dim < A.ambient, V.dim))
-            R = restriction_to_invariant(A, V)
-            plain_R = AlgebraBasis(ambient=R.ambient, basis=R.basis, unital=R.unital)
-            assert len(R.generators) == len(gens)
-            assert commutant(R).dim == commutant(plain_R).dim
         assert used >= 12
 
     def test_m8_works_from_two_generators(self, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from reduction_lab import algebra, modules
 from reduction_lab.algebra import AlgebraBasis, bicommutant, commutant, span_equal
 from reduction_lab.cli import SEED_ENV_VAR, analysis_report, build_parser, main
-from reduction_lab.gallery import a_lambda, truncated_graph_example
+from reduction_lab.gallery import Digraph, a_lambda, digraph_algebra, truncated_graph_example
 from reduction_lab.linalg import operator_norm
 from reduction_lab.modules import projection_constant_estimate
 from reduction_lab.sampling import block_algebra_basis, random_invertible, random_semisimple_algebra
@@ -197,19 +197,19 @@ def record_calls(monkeypatch, fn, first_args):
 
 class TestAnalysisReport:
     @pytest.mark.parametrize(
-        "make, copies",
+        "make",
         [
-            (lambda: truncated_graph_example(4, 0.5), 1),
-            (lambda: a_lambda(2.0), 0),
-            (lambda: block_algebra_basis([(2, 1), (1, 2)], degenerate_dim=1), 1),
+            lambda: truncated_graph_example(4, 0.5),
+            lambda: a_lambda(2.0),
+            lambda: block_algebra_basis([(2, 1), (1, 2)], degenerate_dim=1),
         ],
         ids=["truncated_graph_example(4, 0.5)", "a_lambda(2.0)", "M2+C2+0_1"],
     )
-    def test_radical_and_unit_computed_once(self, monkeypatch, make, copies):
-        # one structure pass: the radical of A, no unit solve (the unit is read
-        # from the decomposition), one commutant, of A itself, and m - 1 Hom
-        # solves per class of multiplicity m; every later stage reads the
-        # certificate
+    def test_radical_and_unit_computed_once(self, monkeypatch, make):
+        # one structure pass: one commutant, of A itself, and one draw, whose
+        # Burnside count certifies the yes; no trace form, no unit solve (the
+        # unit is read from the decomposition) and no Hom solve (the labels
+        # carry each copy's Hom); every later stage reads the certificate
         A = make()
         radical_args, unit_args, commutant_args, hom_args = [], [], [], []
         record_calls(monkeypatch, algebra.radical, radical_args)
@@ -218,10 +218,22 @@ class TestAnalysisReport:
         record_calls(monkeypatch, modules.intertwiners, hom_args)
         report = analysis_report(A, seed=42, tol=DEFAULT_TOL)
         assert report["reduction_property"]["verdict"] is True
-        assert len(radical_args) == 1 and radical_args[0] is A
-        assert unit_args == []
+        assert radical_args == [] and unit_args == [] and hom_args == []
         assert len(commutant_args) == 1 and commutant_args[0] is A
-        assert len(hom_args) == copies
+
+    def test_no_analysis_solves_the_commutant_once(self, monkeypatch):
+        # the chain digraph's draw gives one piece, C^4, with dim End = 1 but
+        # 16 > 10 = dim A: the trace form decides, and the report reads the
+        # certificate's commutant
+        A = digraph_algebra(Digraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        radical_args, commutant_args = [], []
+        record_calls(monkeypatch, algebra.radical, radical_args)
+        record_calls(monkeypatch, algebra.commutant, commutant_args)
+        report = analysis_report(A, seed=42, tol=DEFAULT_TOL)
+        assert report["reduction_property"]["verdict"] is False
+        assert report["commutant_dimension"] == 1
+        assert radical_args == [A]
+        assert [B is A for B in commutant_args] == [True, False]
 
     def test_m16_analyze_peak_memory(self, tmp_path):
         # a fresh process, so that the peak is this analysis's and not the
@@ -358,13 +370,25 @@ class TestGallery:
         assert condition == pytest.approx(0.02**-1.5, rel=1e-6)
 
     def test_graph_truncation_breakdown_names_stage(self, capsys):
-        # past the reach at k = 6 (decay 0.01) the trace form loses rank, and
-        # the no it would give is refused with its stage and margin
+        # far past the reach at k = 6 no draw splits C^n and the trace form
+        # loses rank: the no it would give is refused with its stage and margin
         code, out, err = run(
-            capsys, ["gallery", "graph_truncation", "--k", "6", "--decay", "0.005"]
+            capsys, ["gallery", "graph_truncation", "--k", "6", "--decay", "1e-05"]
         )
         assert code == 2 and out == ""
         assert err.startswith("error: stage 'radical': the witness is not invariant (residual")
+
+    @pytest.mark.parametrize("k, decay", [(4, "0.0003"), (6, "0.008")])
+    def test_graph_truncation_past_the_trace_form(self, capsys, k, decay):
+        # where the trace form loses rank the draw still certifies a yes: the
+        # analysis reports it, or stops at the final check with its margin
+        argv = ["gallery", "graph_truncation", "--k", str(k), "--decay", decay]
+        code, out, err = run(capsys, argv)
+        if code == 0:
+            assert json.loads(out)["wedderburn_profile"] == [[k, 2]]
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: stage 'final-check': conjugated span is not *-closed (defect")
 
     @pytest.mark.parametrize("k, decay", [(4, 0.005), (4, 0.003), (4, 0.002), (6, 0.05), (6, 0.02)])
     def test_graph_truncation_reach_is_free_of_the_seed(self, k, decay):
@@ -417,10 +441,11 @@ class TestGallery:
             bounds = [float(v) for v in proc.stdout.split()]
             assert bounds == pytest.approx([158.11546] * 6, rel=1e-6)
 
-    @pytest.mark.parametrize("decay", ["0.0003", "0.0002", "0.0001"])
+    @pytest.mark.parametrize("decay", ["1e-05", "5e-06", "2e-06"])
     def test_non_invariant_no_witness_is_a_breakdown(self, capsys, decay):
-        # below the reach the trace form loses rank and the radical's range is
-        # not invariant: the no is checked and refused, not reported
+        # far below the reach no draw splits C^n, the trace form loses rank
+        # and the radical's range is not invariant: the no is checked and
+        # refused, not reported
         code, out, err = run(capsys, ["gallery", "graph_truncation", "--k", "4", "--decay", decay])
         assert code == 2 and out == ""
         assert err.startswith("error: stage 'radical': the witness is not invariant (residual")

@@ -449,6 +449,77 @@ class TestHasReductionProperty:
         self.check_structure(A, cert)
 
 
+def count_radicals(monkeypatch):
+    """The algebras whose radical ``has_reduction_property`` computes, as a list."""
+    calls = []
+
+    def counting(A, tol=DEFAULT_TOL):
+        calls.append(A)
+        return radical(A, tol)
+
+    monkeypatch.setattr(modules, "radical", counting)
+    return calls
+
+
+class TestBurnsideCertificate:
+    # a yes from one draw's count, sum k^2 = dim A, with no trace form; the
+    # trace form runs only where the first draw does not certify
+
+    def test_agrees_with_the_trace_form_on_digraphs(self, monkeypatch):
+        calls = count_radicals(monkeypatch)
+        graphs = [G for n in (2, 3, 4) for G in all_reflexive_transitive_digraphs(n)]
+        assert len(graphs) == 388
+        for G in graphs:
+            A = digraph_algebra(G)
+            calls.clear()
+            ok, _ = has_reduction_property(A)
+            semisimple = radical(A).dim == 0
+            assert ok == semisimple
+            assert (calls == []) == semisimple
+
+    def test_certifies_random_semisimple_algebras(self, monkeypatch):
+        calls = count_radicals(monkeypatch)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            A, blocks, degenerate = random_semisimple_algebra(rng, max_dim=6, allow_degenerate=True)
+            ok, cert = has_reduction_property(A)
+            assert ok and cert.blocks == blocks and cert.degenerate_dim == degenerate
+            assert radical(A).dim == 0
+        assert calls == []
+
+    def test_indecomposable_piece_is_counted_out(self, monkeypatch):
+        # T_2's one piece C^2 has dim End = 1, but 4 > 3 = dim T_2: the trace
+        # form decides, and the no carries its radical, witness and commutant
+        A = upper_triangular_2()
+        C = commutant(A)
+        assert C.dim == 1 and A.dim == 3
+        labelled = modules._class_labels([Subspace.full(2)], A, DEFAULT_TOL)
+        assert [(p.dim, lab) for p, lab, _ in labelled] == [(2, 0)]
+        assert next(modules._draws(A, C, 0, DEFAULT_TOL)) is None
+        calls = count_radicals(monkeypatch)
+        ok, cert = has_reduction_property(A)
+        assert not ok and calls == [A]
+        assert cert.radical_dim == 1 and cert.witness.dim == 1
+        assert span_equal(cert.commutant, C)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_graph_truncation_past_the_trace_form(self, monkeypatch, scale):
+        # at decay 0.0003 the trace form reads a radical of dimension 6, while
+        # the draw certifies the yes at every scale of basis and generators
+        A = truncated_graph_example(4, 0.0003)
+        assert radical(A).dim == 6
+        B = AlgebraBasis(
+            A.ambient,
+            [scale * b for b in A.basis],
+            unital=True,
+            generators=[scale * g for g in A.generators],
+        )
+        calls = count_radicals(monkeypatch)
+        ok, cert = has_reduction_property(B, seed=42)
+        assert ok and cert.blocks == ((4, 2),) and cert.degenerate_dim == 0
+        assert calls == []
+
+
 class TestMinNormProjection:
     def test_diagonal_orthogonal(self):
         p = min_norm_module_projection(Subspace.span_of_basis_vector(2, 0), diagonal_2())
@@ -1187,32 +1258,26 @@ class TestBatchedSummandLoops:
         ids=["C^3", "M2 x I4", "C x I5"],
     )
     def test_one_commutant_one_call_per_class(self, monkeypatch, make, labels, systems):
-        # one commutant of the algebra given, no restriction, and per class one
-        # stacked call: its representative's own system, then one per later
-        # unlabelled piece of its dimension, so m copies take m systems
-        commutants, restrictions, rows = [], [], []
-        comm, restrict = modules.commutant, modules.restriction_to_invariant
-        build = modules._intertwiner_systems
+        # one commutant of the algebra given, and per class one stacked call:
+        # its representative's own system, then one per later unlabelled piece
+        # of its dimension, so m copies take m systems
+        commutants, rows = [], []
+        comm, build = modules.commutant, modules._intertwiner_systems
 
         def counting_commutant(A, tol=DEFAULT_TOL):
             commutants.append(A)
             return comm(A, tol)
-
-        def counting_restriction(A, V, tol=DEFAULT_TOL):
-            restrictions.append(V)
-            return restrict(A, V, tol)
 
         def counting_systems(A, sources, targets):
             rows.append(len(sources))
             return build(A, sources, targets)
 
         monkeypatch.setattr(modules, "commutant", counting_commutant)
-        monkeypatch.setattr(modules, "restriction_to_invariant", counting_restriction)
         monkeypatch.setattr(modules, "_intertwiner_systems", counting_systems)
         A = make()
         dec = irreducible_decomposition(A)
         assert [label for _, label in dec] == labels
-        assert commutants == [A] and restrictions == []
+        assert commutants == [A]
         assert rows == systems
 
     def test_merged_draw_is_drawn_again(self, monkeypatch):
