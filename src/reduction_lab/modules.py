@@ -238,11 +238,8 @@ def _draws(A: AlgebraBasis, C: AlgebraBasis, seed: int, tol: Tolerance):
             continue
         pieces, homs, kernel = [], [], []
         for p, lab, T in labelled:
-            if (
-                not A.unital
-                and p.dim == 1
-                and np.all(np.linalg.norm(B @ p.frame, axis=(1, 2)) <= tol.eq_eps * norms)
-            ):
+            image = np.linalg.norm(B @ p.frame, axis=(1, 2))
+            if not A.unital and p.dim == 1 and np.all(image <= tol.eq_eps * norms):
                 kernel.append(p.frame)
             else:
                 pieces.append((p, lab))
@@ -254,7 +251,8 @@ def _draws(A: AlgebraBasis, C: AlgebraBasis, seed: int, tol: Tolerance):
 def _class_labels(pieces: list, A: AlgebraBasis, tol: Tolerance) -> list | None:
     """(piece, label, T) for each of the invariant ``pieces``, in order, where T
     spans Hom(V, piece) from the first piece V of its class (I for V), or None
-    when a piece has dim End != 1 or a Hom between copies is not one-dimensional.
+    when a piece has dim End != 1, or a Hom between copies is not
+    one-dimensional or is singular at the rank tolerance (no isomorphism).
 
     Each unlabelled piece V in turn gets one stacked ``_intertwiner_systems``
     call: V's own system, then V against every later unlabelled piece W of its
@@ -277,14 +275,14 @@ def _class_labels(pieces: list, A: AlgebraBasis, tol: Tolerance) -> list | None:
         if q - _rank(np.linalg.svd(S[0], compute_uv=False), tol) != 1:
             return None
         labels[i] = (classes, identity(V.dim))
-        if rest:
-            _, sig, Vh = np.linalg.svd(S[1:], full_matrices=S.shape[1] < S.shape[2])
-            for j, s, vh in zip(rest, sig, Vh):
-                h = q - _rank(s, tol)
-                if h > 1:
-                    return None
-                if h:
-                    labels[j] = (classes, vh[-1].conj().reshape(V.dim, V.dim))
+        _, sig, Vh = np.linalg.svd(S[1:], full_matrices=S.shape[1] < S.shape[2])
+        for j, s, vh in zip(rest, sig, Vh):
+            h = q - _rank(s, tol)
+            T = vh[-1].conj().reshape(V.dim, V.dim)
+            if h > 1 or h and _rank(np.linalg.svd(T, compute_uv=False), tol) < V.dim:
+                return None
+            if h:
+                labels[j] = (classes, T)
         classes += 1
     return [(p, *labels[i]) for i, p in enumerate(pieces)]
 
@@ -565,35 +563,37 @@ def has_reduction_property(
 
     One structure pass decides it.  The commutant C of A is solved once, and
     one ``_draws`` draw from it splits C^n into invariant pieces with
-    dim End = 1, copies joined by one-dimensional Homs, and the annihilated
-    kernel of the unit.  Then A lies in the block algebra (+) M_k kron I_mult
-    (+) 0_d over the piece basis Z (see ``ReductionCertificate``), and
-    dim A = sum of k^2 over the classes forces equality (Burnside's theorem;
-    Lomonosov & Rosenthal, Linear Algebra Appl. 383, 2004): the verdict is
-    yes, with no trace form.  T_2 has one piece with dim End = 1, but 4 > 3.
+    dim End = 1, copies joined by invertible one-dimensional Homs, and the
+    annihilated kernel of the unit.  Then A lies in the block algebra
+    (+) M_k kron I_mult (+) 0_d over the piece basis Z (see
+    ``ReductionCertificate``), and dim A = sum of k^2 over the classes forces
+    equality (Burnside's theorem; Lomonosov & Rosenthal, Linear Algebra Appl.
+    383, 2004): the verdict is yes, with no trace form.  T_2 has one piece
+    with dim End = 1, but 4 > 3.
 
     Otherwise the radical, the kernel of the trace form, decides.  A nonzero
     radical is a no once its checks pass (``_radical_certificate``); a zero
     radical is a yes from the first later draw that passes, the same
-    generator drawing on.  Both certificates carry C.
+    generator drawing on, also past a failed check.  Both certificates carry C.
     """
     C = commutant(A, tol)
     draws = _draws(A, C, seed, tol)
     drawn = next(draws)
     if drawn is None:
-        rad = radical(A, tol)
+        rad, fault = radical(A, tol), None
         if rad.dim:
-            return False, _radical_certificate(rad, A, C, tol)
+            try:
+                return False, _radical_certificate(rad, A, C, tol)
+            except NumericalDegeneracyError as exc:
+                fault = exc
         drawn = next(filter(None, draws), None)
         if drawn is None:
-            raise NumericalDegeneracyError("random commutant splitter failed repeatedly")
+            raise fault or NumericalDegeneracyError("random commutant splitter failed repeatedly")
     pieces, homs, kernel = drawn
     K = np.linalg.qr(np.hstack([np.zeros((A.ambient, 0))] + kernel))[0]
     blocks, Z, Z_inv = _piece_basis(pieces, homs, K)
-    return True, ReductionCertificate(
-        True, blocks, len(kernel), pieces=tuple(pieces), homs=tuple(homs), commutant=C,
-        basis=Z, basis_inv=Z_inv,
-    )
+    held = dict(pieces=tuple(pieces), homs=tuple(homs), commutant=C, basis=Z, basis_inv=Z_inv)
+    return True, ReductionCertificate(True, blocks, len(kernel), **held)
 
 
 def _radical_certificate(
