@@ -291,7 +291,7 @@ def center_and_minimal_central_idempotents(
     """Centre of a unital semisimple algebra and its minimal central idempotents.
 
     Read from the reduction certificate (``has_reduction_property``): over its
-    piece basis Z, a basis of C^n as A holds I, the idempotent of block c is
+    balanced piece basis Z, a basis of C^n as A holds I, the idempotent of c is
     p_c = Z_c (Z^-1)_c over the columns Z_c of that block and the matching
     rows of Z^-1, the projection onto the isotypic component along the
     others.  The centre is their span.

@@ -1,6 +1,7 @@
 """Command-line surface: parse algebra specifications, run analyses, emit reports.
 
-Spec files are JSON with complex entries as [re, im] pairs:
+Spec files are JSON with complex entries as [re, im] pairs; "dimension" is a
+JSON integer and "unital" (default true) a JSON boolean:
 
     {"dimension": 2,
      "generators": [[[[0,0],[1,0]],[[0,0],[0,0]]]],
@@ -99,13 +100,12 @@ def load_algebra_spec(path: str) -> tuple[int, list, bool, Tolerance]:
         raise MalformedInputError(f"spec file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedInputError("spec must be a JSON object")
-    try:
-        dimension = int(raw["dimension"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError("spec needs an integer 'dimension'") from exc
-    if dimension < 1:
-        raise MalformedInputError("dimension must be positive")
-    unital = bool(raw.get("unital", True))
+    # type(), not isinstance(): a JSON true loads as a bool, which is an int
+    dimension, unital = raw.get("dimension"), raw.get("unital", True)
+    if type(dimension) is not int or dimension < 1:
+        raise MalformedInputError("spec 'dimension' must be a positive JSON integer")
+    if type(unital) is not bool:
+        raise MalformedInputError("spec 'unital' must be a JSON boolean")
     generators = []
     for g in raw.get("generators", []):
         M = _matrix_from_json(g, "generator")
@@ -162,7 +162,7 @@ def analysis_report(A, seed: int, tol: Tolerance) -> dict:
             "blocks": [list(b) for b in cert.blocks],
             "degenerate_dimension": cert.degenerate_dim,
         }
-        profile = _wedderburn_similarity(A, cert, tol)
+        profile = _wedderburn_similarity(A, cert)
         bound, _ = _projection_constant_estimate(A, cert, seed, tol)
         report["wedderburn_profile"] = [list(b) for b in profile.blocks]
         report["projection_constant_lower_bound"] = float(bound)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .linalg import (
     eig_clusters,
     identity,
     least_psd_shift,
+    matrix_sqrt_positive,
     null_space,
     operator_norm,
     rank_and_range,
@@ -381,16 +381,17 @@ class ReductionCertificate:
 
     For a yes the certificate is a Wedderburn block profile; for a no it is a
     nonzero radical element together with an invariant subspace that admits no
-    module complement.  Both carry the commutant of A, with a
+    module projection.  Both carry the commutant of A, with a
     Frobenius-orthonormal basis.  A yes also carries to every later stage the
     class-labelled irreducible pieces on which A acts nonzero, one intertwiner
     T per piece q (``homs``: b (q.frame T) = (q.frame T)(F0* b F0) over the
-    frame F0 of its class's first piece, whose T is I), and the piece basis
-    Z = [Y_1 ... Y_r K] with its inverse.  Y_c lays the pieces of the c-th of
-    ``blocks`` side by side, each composed with its intertwiner and
-    interleaved, so that b Y_c = Y_c (x kron I_mult); K is an orthonormal
-    frame of the kernel of the internal unit.  In the coordinates of Z, A is
-    the literal block algebra.
+    frame F0 of its class's first piece, whose T is I), and the balanced piece
+    basis Z~ = [Y~_1 ... Y~_r K] with its inverse (``_piece_basis``).  Y~_c
+    lays the pieces of the c-th of ``blocks`` side by side, each composed with
+    its intertwiner, interleaved and balanced, so that b Y~_c = Y~_c
+    (x kron I_mult); K is an orthonormal frame of the kernel of the internal
+    unit.  In the coordinates of Z~, A is the literal block algebra, and Z~^-1
+    is the Wedderburn similarity.
     """
 
     verdict: bool
@@ -407,7 +408,7 @@ class ReductionCertificate:
 
     @property
     def unit(self) -> np.ndarray | None:
-        """The internal unit e = Z diag(1, ..., 1, 0_d) Z^-1."""
+        """The internal unit e = Z~ diag(1, ..., 1, 0_d) Z~^-1."""
         if self.basis is None:
             return None
         r = len(self.basis) - self.degenerate_dim
@@ -415,28 +416,22 @@ class ReductionCertificate:
 
     @property
     def kernel(self) -> Subspace | None:
-        """The kernel of the internal unit, held by the last d columns of Z."""
+        """The kernel of the internal unit, held by the last d columns of Z~."""
         if self.basis is None:
             return None
         return Subspace.from_frame(self.basis[:, len(self.basis) - self.degenerate_dim :])
 
-    @cached_property
-    def fits(self) -> tuple:
-        """The Kronecker fit (G_c, H_c) of each block's Gram matrix Y_c* Y_c
-        (``_kronecker_fit``), made on first use: a fit that does not settle
-        breaks the similarity and the estimate that share it, not the verdict."""
-        fits, at = [], 0
-        for k, mult in self.blocks:
-            Y = self.basis[:, at : at + k * mult]
-            fits.append(_kronecker_fit(Y.conj().T @ Y, k, mult))
-            at += k * mult
-        return tuple(fits)
-
 
 def _piece_basis(pieces: list, homs: list, K: np.ndarray) -> tuple:
-    """(blocks, Z, Z^-1) for the labelled ``pieces``, their intertwiners and the
-    frame K of the annihilated summand, as ``ReductionCertificate`` describes
-    them; a singular Z is a breakdown in stage 'block-similarity'."""
+    """(blocks, Z~, Z~^-1) for the labelled ``pieces``, their intertwiners and
+    the frame K of the annihilated summand, as ``ReductionCertificate``
+    describes them.  The piece basis Z = [Y_1 ... Y_r K] is balanced once,
+    with G_c kron H_c the Kronecker fit of Y_c* Y_c (``_kronecker_fit``):
+    Z~ = Z R^-1 and Z~^-1 = R Z^-1 for R = (+) (G_c^1/2 kron H_c^1/2) (+) I_d,
+    which commutes with the block algebra.  The roots are per factor, as a
+    root of the whole block would spread by cond G cond H.  A singular Z, or
+    a fit that does not settle, is a breakdown in stage 'block-similarity'.
+    """
     n = K.shape[0]
     groups = []
     for c in sorted({lab for _, lab in pieces}):
@@ -450,6 +445,13 @@ def _piece_basis(pieces: list, homs: list, K: np.ndarray) -> tuple:
         raise NumericalDegeneracyError(
             "stage 'block-similarity': the pieces and the kernel of the unit are not a basis"
         ) from exc
+    at = 0
+    for k, mult, Y in groups:
+        G, H = _kronecker_fit(Y.conj().T @ Y, k, mult)
+        root = np.kron(matrix_sqrt_positive(G), matrix_sqrt_positive(H))
+        Z[:, at : at + k * mult] = Y @ np.linalg.inv(root)
+        Z_inv[at : at + k * mult] = root @ Z_inv[at : at + k * mult]
+        at += k * mult
     return tuple((k, mult) for k, mult, _ in groups), Z, Z_inv
 
 
@@ -600,9 +602,11 @@ def _radical_certificate(
     rad: AlgebraBasis, A: AlgebraBasis, C: AlgebraBasis, tol: Tolerance
 ) -> ReductionCertificate:
     """The no-certificate of a nonzero radical.  It is reported only when its
-    witness, the range of the radical, is invariant, and its radical element r
-    lies in A and is nilpotent, each to eq_eps; else it is a breakdown in stage
-    'radical', with the first failed check's margin."""
+    witness, the range of the radical, is invariant, its radical element r
+    lies in A and is nilpotent, each to eq_eps, and the witness admits no
+    module projection p over the commutant C (``_module_projection_family``);
+    else it is a breakdown in stage 'radical', with the first failed check's
+    margin (for p, the relative residual of its system)."""
     _, witness = rank_and_range(np.hstack(rad.basis), tol)
     outside, power = _radical_element_margins(rad.basis[0], A, tol)
     for fault, margin in (
@@ -612,6 +616,14 @@ def _radical_certificate(
     ):
         if not margin <= tol.eq_eps:
             raise NumericalDegeneracyError("stage 'radical': " + fault.format(margin))
+    family, F = _module_projection_family(witness, C, tol), witness.frame
+    if family is not None:
+        p = family[0]
+        split = np.linalg.norm(np.hstack([p - witness.projector() @ p, p @ F - F]))
+        raise NumericalDegeneracyError(
+            "stage 'radical': the witness admits a module projection (residual "
+            f"{split / max(1.0, np.linalg.norm(F)):.2e})"
+        )
     return ReductionCertificate(
         False, radical_element=rad.basis[0], witness=witness, radical_dim=rad.dim, commutant=C
     )
@@ -812,7 +824,7 @@ def _projection_constant_estimate(
     tol: Tolerance,
 ) -> tuple[float, list]:
     """``projection_constant_estimate`` at amplification 1, from the reduction
-    certificate's piece basis Z and its blocks' Kronecker fits.
+    certificate's balanced piece basis Z~, the similarity's own basis.
 
     ``_class_lattice`` norms the unions of whole classes, and
     ``_split_projections`` adds the least-norm projections of the candidates
@@ -849,8 +861,7 @@ def _split_projections(A: AlgebraBasis, cert: ReductionCertificate, seed: int) -
     Z, blocks = cert.basis, list(cert.blocks)
     starts = np.cumsum([0] + [k * m for k, m in blocks])
     columns = [
-        _multiplicity_atoms(Z[:, at : at + k * m], k, m, *fit)
-        for (k, m), at, fit in zip(blocks, starts, cert.fits)
+        _multiplicity_atoms(Z[:, at : at + k * m], k, m) for (k, m), at in zip(blocks, starts)
     ]
     # an entry is a block and one of its columns above: the atoms, then the
     # graph candidates
@@ -887,30 +898,25 @@ def _split_projections(A: AlgebraBasis, cert: ReductionCertificate, seed: int) -
     return P, [f[2] for f in families]
 
 
-def _multiplicity_atoms(Y: np.ndarray, k: int, m: int, G: np.ndarray, H: np.ndarray):
-    """The canonical atoms, then the graph candidates, of a block Y (n x km) with
-    Kronecker fit G kron H, as columns in its multiplicity coordinates (I_1
-    when m = 1).  For Y~ = Y (G^-1/2 kron H^-1/2), the atoms are H^-1/2 b_j
-    over the eigenvectors b_1, ..., b_m (ascending) of the multiplicity-side
-    factor of the second operator-Schmidt term of Y~* Y~, a singular term of
-    its realignment (Van Loan & Pitsianis, 1993); the graph candidates are
-    H^-1/2 (b_1 + w b_m) for w in 1, i, -1, -i.  Other pieces, Y (I kron h),
-    give h^-1 times these atoms, the same submodules of C^n; only the
+def _multiplicity_atoms(Y: np.ndarray, k: int, m: int):
+    """The canonical atoms, then the graph candidates, of a balanced block Y
+    (n x km, Y* Y fitting I kron I; see ``_piece_basis``), as columns in its
+    multiplicity coordinates (I_1 when m = 1).  The atoms are the eigenvectors
+    b_1, ..., b_m (ascending) of the multiplicity-side factor of the second
+    operator-Schmidt term of Y* Y, a singular term of its realignment (Van
+    Loan & Pitsianis, 1993); the graph candidates are b_1 + w b_m for w in 1,
+    i, -1, -i.  Other pieces balance to Y (g kron u) for unitaries g and u,
+    and give u* times these atoms, the same submodules of C^n; only the
     relative phase of b_1 and b_m is left to roundoff.
     """
     if m == 1:
         return identity(1)
-    w, U = np.linalg.eigh(G)
-    v, W = np.linalg.eigh(H)
-    H_root_inv = (W / np.sqrt(v)) @ W.conj().T
-    Yt = Y @ np.kron((U / np.sqrt(w)) @ U.conj().T, H_root_inv)
-    R = (Yt.conj().T @ Yt).reshape(k, m, k, m).transpose(0, 2, 1, 3).reshape(k * k, m * m)
+    R = (Y.conj().T @ Y).reshape(k, m, k, m).transpose(0, 2, 1, 3).reshape(k * k, m * m)
     X = np.linalg.svd(R)[2][1].reshape(m, m)
     # the terms of a Hermitian matrix are Hermitian up to one phase each
     X = X * np.exp(-0.5j * np.angle(np.trace(X @ X)))
     b = np.linalg.eigh(X + X.conj().T)[1]
-    graphs = b[:, :1] + np.array([1, 1j, -1, -1j]) * b[:, -1:]
-    return H_root_inv @ np.hstack([b, graphs])
+    return np.hstack([b, b[:, :1] + np.array([1, 1j, -1, -1j]) * b[:, -1:]])
 
 
 def _closed_family(Z: np.ndarray, Z_inv: np.ndarray, layout: list, starts, V: list) -> tuple:
@@ -951,9 +957,9 @@ def _class_lattice(A: AlgebraBasis, cert: ReductionCertificate) -> tuple:
     witnesses (the maximising union, then the atoms, by descending norm) and the
     (r, n, n) stack of atom projections, for the caller's gate.
 
-    The atoms are the isotypic classes of the piece basis Z, and the
+    The atoms are the isotypic classes of the piece basis Z~, and the
     annihilated summand when d > 0; pairwise non-isomorphic, so a union U has
-    exactly one module projection, P_U = Z diag(1_U) Z^-1.  As
+    exactly one module projection, P_U = Z~ diag(1_U) Z~^-1.  As
     ||I - P|| = ||P|| for an idempotent P != 0, I (Kato, Numer. Math. 2, 1960;
     Szyld, Numer. Algorithms 42, 2006), only proper unions holding atom 0 are
     formed, balanced first (|2|U| - r| ascending, then by size and by number,

@@ -262,30 +262,27 @@ def wedderburn_similarity(
 ) -> WedderburnProfile:
     """Similarity carrying a reduction algebra onto a self-adjoint block algebra.
 
-    From the reduction certificate's piece basis Z = [Y_1 ... Y_r K]: Y_i lays
-    the pieces of isotypic block i side by side, each composed with the
+    It is S = Z~^-1 for the reduction certificate's balanced piece basis
+    Z~ = Z R^-1 (``_piece_basis``).  In Z = [Y_1 ... Y_r K], Y_i lays the
+    pieces of isotypic block i side by side, each composed with the
     certificate's intertwiner from the first piece of its class, so that
     b Y_i = Y_i (x kron I_mult), and K is an orthonormal frame of the kernel
-    of the internal unit e.  The similarity is
-    S = diag(G_1^1/2 kron H_1^1/2, ..., G_r^1/2 kron H_r^1/2, I_d) Z^-1
-    for the Kronecker fits G_i kron H_i of Y_i* Y_i (``ReductionCertificate.fits``).
-    The blocks land on leading coordinates, (dimension, multiplicity)
-    descending, the annihilated summand last.  Renorming e first
-    (``renorm_from_projection``) and Dixmier-averaging the central
-    idempotents (``dixmier_orthogonalize``) would give S times a unitary: the
-    renorm is isometric on range e and on ker e, and the Dixmier metric D has
-    D* D = sum p_j* p_j with p_j Y_i = delta_ij Y_i, so neither changes any
-    Y_i* Y_i.
+    of the internal unit e; R = diag(G_1^1/2 kron H_1^1/2, ..., I_d) for the
+    Kronecker fits G_i kron H_i of Y_i* Y_i.  The blocks land on leading
+    coordinates, (dimension, multiplicity) descending, the annihilated summand
+    last.  Renorming e first (``renorm_from_projection``) and
+    Dixmier-averaging the central idempotents (``dixmier_orthogonalize``)
+    would give S times a unitary: the renorm is isometric on range e and on
+    ker e, and the Dixmier metric D has D* D = sum p_j* p_j with
+    p_j Y_i = delta_ij Y_i, so neither changes any Y_i* Y_i.
     """
-    return _wedderburn_similarity(A, has_reduction_property(A, seed, tol)[1], tol)
+    return _wedderburn_similarity(A, has_reduction_property(A, seed, tol)[1])
 
 
-def _wedderburn_similarity(
-    A: AlgebraBasis, cert: ReductionCertificate, tol: Tolerance
-) -> WedderburnProfile:
-    """``wedderburn_similarity`` from the algebra's reduction certificate, whose
-    piece basis, its inverse and its blocks' Kronecker fits it reads (it draws
-    no random numbers and solves for no intertwiner).
+def _wedderburn_similarity(A: AlgebraBasis, cert: ReductionCertificate) -> WedderburnProfile:
+    """``wedderburn_similarity`` from the algebra's reduction certificate: its
+    S is the certificate's Z~^-1 (it draws no random numbers, solves for no
+    intertwiner and fits no block).
 
     As a yes certificate has sum k^2 = dim A, S A S^-1 is the block algebra
     (+) M_k kron I_mult (+) 0_d, and so *-closed, once each generator b has
@@ -294,17 +291,7 @@ def _wedderburn_similarity(
     'final-check'."""
     if not cert.verdict:
         raise StructurePreconditionError("algebra does not have the reduction property")
-    # Z^-1 alone carries block i onto x kron I_mult on its coordinates and the
-    # annihilated summand onto the last ones; G^1/2 kron H^1/2 on the block's
-    # rows keeps that layout and brings the condition down
-    S = cert.basis_inv.copy()
-    at = 0
-    for (k, mult), (G, H) in zip(cert.blocks, cert.fits):
-        root = np.kron(matrix_sqrt_positive(G, tol), matrix_sqrt_positive(H, tol))
-        S[at : at + k * mult] = root @ S[at : at + k * mult]
-        at += k * mult
-
-    similarity = SimilarityReport.from_matrix(S)
+    similarity = SimilarityReport.from_matrix(cert.basis_inv)
     defect = _self_adjointness_defect(similarity.conjugate(_generating_stack(A)), cert.blocks)
     if not defect <= 1e-7:
         raise NumericalDegeneracyError(

@@ -10,6 +10,7 @@ import pytest
 from reduction_lab import algebra, modules
 from reduction_lab.algebra import AlgebraBasis, bicommutant, commutant, span_equal
 from reduction_lab.cli import SEED_ENV_VAR, analysis_report, build_parser, main
+from reduction_lab.errors import NumericalDegeneracyError
 from reduction_lab.gallery import Digraph, a_lambda, digraph_algebra, truncated_graph_example
 from reduction_lab.linalg import operator_norm
 from reduction_lab.modules import projection_constant_estimate
@@ -165,6 +166,24 @@ class TestAnalyze:
         ))
         code, _, err = run(capsys, ["analyze", str(path)])
         assert code == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"unital": "false"}, {"unital": 0}, {"unital": None}, {"dimension": 2.5},
+         {"dimension": 2.0}, {"dimension": True}, {"dimension": "2"},
+         {"dimension": None}],
+        ids=["unital-string", "unital-number", "unital-null", "dimension-fraction",
+             "dimension-float", "dimension-bool", "dimension-string", "dimension-null"],
+    )
+    def test_spec_types_are_not_coerced_exit_one(self, capsys, tmp_path, fields):
+        # "unital": "false" once read as true, and the unitisation was
+        # analysed with exit 0; 2.5 and true once read as dimensions 2 and 1
+        e12 = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+        path = tmp_path / "typed.json"
+        spec = {"dimension": 2, "generators": [e12], "unital": False, **fields}
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "flags",
@@ -390,6 +409,22 @@ class TestGallery:
             assert code == 2 and out == ""
             assert err.startswith("error: stage 'final-check': conjugated span is not *-closed (defect")
 
+    @pytest.mark.parametrize(
+        "k, decay, seeds", [(4, 1e-4, (0, 3, 5, 14)), (6, 0.005, (5, 7, 8, 9, 16))]
+    )
+    def test_graph_truncation_estimate_reads_the_balanced_basis(self, k, decay, seeds):
+        # the seeds whose projection-constant gate broke while the split
+        # candidates were written in the unbalanced piece basis: each is a yes
+        # now, or stops at the final check with its margin
+        A = truncated_graph_example(k, decay)
+        for seed in seeds:
+            try:
+                report = analysis_report(A, seed, DEFAULT_TOL)
+            except NumericalDegeneracyError as exc:
+                assert str(exc).startswith("stage 'final-check'"), (seed, str(exc))
+            else:
+                assert report["wedderburn_profile"] == [[k, 2]], seed
+
     @pytest.mark.parametrize("k, decay", [(4, 0.005), (4, 0.003), (4, 0.002), (6, 0.05), (6, 0.02)])
     def test_graph_truncation_reach_is_free_of_the_seed(self, k, decay):
         # every analysis seed 0-19 reaches a yes with its similarity
@@ -562,6 +597,38 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1].strip().startswith(last_line)
+
+    def test_benchmark_reports_against_a_dump(self, tmp_path):
+        # the 48 benchmark reports, dumped without their timings, then
+        # compared with that dump, and with one whose profile and similarity
+        # condition of one case were moved
+        script = Path(__file__).resolve().parents[1] / "scripts" / "benchmark_reports.py"
+        script = [sys.executable, str(script)]
+        dump = subprocess.run(script, capture_output=True, text=True, env=child_env())
+        assert dump.returncode == 0, dump.stderr
+        reports = json.loads(dump.stdout)
+        assert len(reports) == 48 and not any("timing_seconds" in r for r in reports.values())
+        path = tmp_path / "dump.json"
+        path.write_text(dump.stdout)
+        same = subprocess.run([*script, str(path)], capture_output=True, text=True, env=child_env())
+        assert same.returncode == 0, same.stderr
+        assert same.stdout.splitlines() == [
+            "similarity_condition: largest relative difference 0",
+            "projection_constant_lower_bound: largest relative difference 0",
+            "other fields that differ: 0",
+        ]
+        case = reports["projection-bound/1/M2xI2"]
+        case["similarity_condition"] *= 1 + 1e-9
+        case["wedderburn_profile"] = [[2, 1]]
+        path.write_text(json.dumps(reports))
+        moved = subprocess.run([*script, str(path)], capture_output=True, text=True, env=child_env())
+        assert moved.returncode == 1, moved.stderr
+        assert moved.stdout.splitlines() == [
+            "similarity_condition: largest relative difference 1e-09",
+            "projection_constant_lower_bound: largest relative difference 0",
+            "other fields that differ: 1",
+            "  projection-bound/1/M2xI2/wedderburn_profile",
+        ]
 
 
 class TestBatchedSummandLoops:

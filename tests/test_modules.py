@@ -441,6 +441,22 @@ class TestHasReductionProperty:
         with pytest.raises(NumericalDegeneracyError, match=f"stage 'radical': {fault}"):
             has_reduction_property(upper_triangular_2())
 
+    def test_complemented_witness_is_a_breakdown(self, monkeypatch):
+        # T_2 (+) C: the radical is span(E12), whose range e1 has no invariant
+        # complement.  A radical basis [E12, E22] keeps that element, nilpotent
+        # and in A, but its range e1, e2 is invariant and complemented by e3
+        A = generate_algebra([unit(3, 0, 0), unit(3, 1, 1), unit(3, 0, 1), unit(3, 2, 2)])
+
+        def complemented(A, tol=DEFAULT_TOL):
+            return AlgebraBasis(ambient=3, basis=[unit(3, 0, 1), unit(3, 1, 1)])
+
+        monkeypatch.setattr(modules, "radical", complemented)
+        with pytest.raises(
+            NumericalDegeneracyError,
+            match=r"stage 'radical': the witness admits a module projection \(residual",
+        ):
+            has_reduction_property(A)
+
     def test_zero_algebra_certificate(self):
         A = AlgebraBasis(ambient=3, basis=[])
         ok, cert = has_reduction_property(A)

@@ -387,7 +387,7 @@ class TestWedderburnSimilarity:
             A, blocks, degenerate = random_semisimple_algebra(rng, max_dim=6, allow_degenerate=True)
             with_degenerate += degenerate > 0
             cert = has_reduction_property(A, seed=7)[1]
-            prof = orthogonalize._wedderburn_similarity(A, cert, DEFAULT_TOL)
+            prof = orthogonalize._wedderburn_similarity(A, cert)
             S, staged_blocks, staged_degenerate = staged_similarity(A, cert)
             staged = SimilarityReport.from_matrix(S)
             assert prof.similarity.condition == pytest.approx(staged.condition, rel=1e-12)
@@ -442,6 +442,26 @@ class TestWedderburnSimilarity:
             assert prof.blocks == blocks and prof.degenerate_dim == degenerate
             conj = AlgebraBasis(ambient=n, basis=conjugated_basis(A, prof.similarity), unital=False)
             assert span_equal(conj, AlgebraBasis(ambient=n, basis=list(literal.basis), unital=False))
+
+    def test_similarity_is_the_balanced_basis_inverse(self, rng):
+        # the fits are applied once, in the certificate's piece basis: the
+        # similarity is its inverse bit for bit, and each balanced block's
+        # Gram matrix fits I kron I
+        tested = 0
+        while tested < 12:
+            A, blocks, _ = random_semisimple_algebra(rng, max_dim=6, allow_degenerate=True)
+            if all(m == 1 for _, m in blocks):
+                continue
+            seed = int(rng.integers(2**31))
+            cert = has_reduction_property(A, seed)[1]
+            assert np.array_equal(wedderburn_similarity(A, seed).similarity.S, cert.basis_inv)
+            at = 0
+            for k, mult in cert.blocks:
+                Y = cert.basis[:, at : at + k * mult]
+                fit = np.kron(*_kronecker_fit(Y.conj().T @ Y, k, mult))
+                assert operator_norm(fit - np.eye(k * mult)) <= 1e-10
+                at += k * mult
+            tested += 1
 
 
 class TestKroneckerFit:
