@@ -12,7 +12,9 @@ nonzero is kept as its exit code and error text):
 
 With a dump as its argument it prints the largest relative difference of
 ``similarity_condition`` and of ``projection_constant_lower_bound`` from
-that dump, then every other field that differs, and exits 1 if one does.
+that dump, then every other field that differs.  It exits 1 if another field
+differs, or if either number moves by more than ``GATE`` (1e-9) relative:
+the reports must not change beyond roundoff.
 """
 
 import argparse
@@ -30,6 +32,7 @@ from reduction_lab import cli  # noqa: E402
 
 SEEDS = (1, 2, 3)
 NUMBERS = ("similarity_condition", "projection_constant_lower_bound")
+GATE = 1e-9
 
 
 def reports() -> dict:
@@ -78,7 +81,7 @@ def compare(old: dict, new: dict) -> int:
     print(f"other fields that differ: {len(differ)}")
     for path in differ:
         print(f"  {path}")
-    return 1 if differ else 0
+    return 1 if differ or max(worst.values()) > GATE else 0
 
 
 def main() -> int:

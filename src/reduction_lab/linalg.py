@@ -232,8 +232,8 @@ class Subspace:
             piv = F[k, j]
             if abs(piv) > 0:
                 F[:, j] *= np.conj(piv) / abs(piv)
-        flat = [(round(z.real, digits), round(z.imag, digits)) for z in F.T.reshape(-1)]
-        return (self.dim, tuple(flat))
+        real, imag = (np.round(part, digits).reshape(-1).tolist() for part in (F.T.real, F.T.imag))
+        return (self.dim, tuple(zip(real, imag)))
 
 
 def _left_factor(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -429,8 +429,10 @@ def _piece_basis(pieces: list, homs: list, K: np.ndarray) -> tuple:
     with G_c kron H_c the Kronecker fit of Y_c* Y_c (``_kronecker_fit``):
     Z~ = Z R^-1 and Z~^-1 = R Z^-1 for R = (+) (G_c^1/2 kron H_c^1/2) (+) I_d,
     which commutes with the block algebra.  The roots are per factor, as a
-    root of the whole block would spread by cond G cond H.  A singular Z, or
-    a fit that does not settle, is a breakdown in stage 'block-similarity'.
+    root of the whole block would spread by cond G cond H; a (1, 1) block
+    has the scalar root ||y||, so its column becomes y / ||y|| and its row
+    of Z^-1 is multiplied by ||y||, with no fit.  A singular Z, or a fit that
+    does not settle, is a breakdown in stage 'block-similarity'.
     """
     n = K.shape[0]
     groups = []
@@ -447,10 +449,15 @@ def _piece_basis(pieces: list, homs: list, K: np.ndarray) -> tuple:
         ) from exc
     at = 0
     for k, mult, Y in groups:
-        G, H = _kronecker_fit(Y.conj().T @ Y, k, mult)
-        root = np.kron(matrix_sqrt_positive(G), matrix_sqrt_positive(H))
-        Z[:, at : at + k * mult] = Y @ np.linalg.inv(root)
-        Z_inv[at : at + k * mult] = root @ Z_inv[at : at + k * mult]
+        if k * mult == 1:
+            root = np.sqrt((Y.conj().T @ Y).real)
+            Z[:, at : at + 1] = Y / root
+            Z_inv[at : at + 1] *= root
+        else:
+            G, H = _kronecker_fit(Y.conj().T @ Y, k, mult)
+            root = np.kron(matrix_sqrt_positive(G), matrix_sqrt_positive(H))
+            Z[:, at : at + k * mult] = Y @ np.linalg.inv(root)
+            Z_inv[at : at + k * mult] = root @ Z_inv[at : at + k * mult]
         at += k * mult
     return tuple((k, mult) for k, mult, _ in groups), Z, Z_inv
 
@@ -645,7 +652,9 @@ def _start_point_duals(P0: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.nd
     norm is dual to the operator norm, so a G with <G, D_j> = 0 for every j gives
     ||P|| >= Re<G, P> / ||G||_* = Re<G, p0> / ||G||_* on the whole family.  G is
     built where a subgradient of the norm at p0 would sit: over the singular vectors
-    U_c, V_c of p0's top singular cluster (``eig_clusters``), W is the
+    U_c, V_c of p0's top singular cluster (the leading singular values joined by
+    neighbour gaps of at most 1e-6 max(1, sigma_1), the single linkage of
+    ``eig_clusters`` on sorted reals, taken for all members at once), W is the
     least-Frobenius Hermitian matrix with tr W = 1 and tr(W U_c* D_j V_c) = 0, and
     G = U_c W V_c* is projected off span(D) (a QR of the nonzero directions), so
     the bound holds whatever W is.  When p0 is least and that W is positive, the
@@ -662,7 +671,8 @@ def _start_point_duals(P0: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.nd
     U, sig, Vh = np.linalg.svd(P0)
     # the top cluster of member w is its first r[w] singular pairs; every member
     # is padded with zero pairs to the largest, c
-    r = np.array([len(eig_clusters(s)[-1]) for s in sig])
+    linked = -np.diff(sig, axis=1) <= 1e-6 * np.maximum(1.0, sig[:, :1])
+    r = 1 + np.cumprod(linked, axis=1).sum(axis=1)
     c = r.max()
     top = np.arange(c) < r[:, None]
     Uc = U[..., :c] * top[:, None]
@@ -850,10 +860,11 @@ def _split_projections(A: AlgebraBasis, cert: ReductionCertificate, seed: int) -
     The candidates are the canonical atoms and graph candidates of
     ``_multiplicity_atoms``, then random unions of atoms (the seed's only use
     in the estimate), at most ``_FAMILY_CANDIDATES``, a union joined before or
-    of whole classes skipped.  ``_closed_family`` writes down their module
-    projections, and one ``_spectral_norm_minimiser`` call solves them all (a
-    start point its dual point certifies is returned as it is, the others from
-    the barrier).
+    of whole classes skipped.  The draw stops once every nonzero mask of the
+    atoms has come, as no later draw can add a candidate.  One
+    ``_closed_families`` call writes down all their module projections, and
+    one ``_spectral_norm_minimiser`` call solves them all (a start point its
+    dual point certifies is returned as it is, the others from the barrier).
     """
     n = A.ambient
     if all(m == 1 for _, m in cert.blocks):
@@ -881,21 +892,19 @@ def _split_projections(A: AlgebraBasis, cert: ReductionCertificate, seed: int) -
 
     for i in range(len(entries)):
         union((i,))
-    rng = np.random.default_rng(seed)
+    rng, drawn = np.random.default_rng(seed), set()
     for _ in range(2 * _FAMILY_CANDIDATES):
-        if len(candidates) >= _FAMILY_CANDIDATES:
+        if len(candidates) >= _FAMILY_CANDIDATES or len(drawn) == 2 ** len(atoms) - 1:
             break
         mask = rng.integers(0, 2, size=len(atoms))
         if mask.any():
-            union(tuple(np.flatnonzero(mask).tolist()))
+            members = tuple(np.flatnonzero(mask).tolist())
+            drawn.add(members)
+            union(members)
 
-    Z_inv, candidates = cert.basis_inv, candidates[:_FAMILY_CANDIDATES]
-    families = [_closed_family(Z, Z_inv, blocks, starts, V) for V in candidates]
-    D = np.zeros((len(families), max(len(f[1]) for f in families), n, n), dtype=complex)
-    for w, (_, Dw, _) in enumerate(families):
-        D[w, : len(Dw)] = Dw
-    P = _spectral_norm_minimiser(np.array([f[0] for f in families]), D)
-    return P, [f[2] for f in families]
+    candidates = candidates[:_FAMILY_CANDIDATES]
+    P0, D, witnesses = _closed_families(Z, cert.basis_inv, blocks, starts, candidates)
+    return _spectral_norm_minimiser(P0, D), witnesses
 
 
 def _multiplicity_atoms(Y: np.ndarray, k: int, m: int):
@@ -919,37 +928,55 @@ def _multiplicity_atoms(Y: np.ndarray, k: int, m: int):
     return np.hstack([b, b[:, :1] + np.array([1, 1j, -1, -1j]) * b[:, -1:]])
 
 
-def _closed_family(Z: np.ndarray, Z_inv: np.ndarray, layout: list, starts, V: list) -> tuple:
-    """(p0, D, witness) for the submodule whose multiplicity subspaces are
-    spanned by the columns of V, one matrix per block of ``layout`` (at column
-    ``starts`` of Z; a block left out contributes 0): the least-Frobenius
-    module projection, a Frobenius-orthonormal basis of its free directions
-    (none when that projection already has norm 1), and the submodule.
+def _closed_families(
+    Z: np.ndarray, Z_inv: np.ndarray, layout: list, starts, candidates: list
+) -> tuple:
+    """(P0, D, witnesses) for the submodules whose multiplicity subspaces are
+    spanned by the columns of each candidate, one matrix per block of
+    ``layout`` (at column ``starts`` of Z; a block with no column contributes
+    0): the (W, n, n) stack of least-Frobenius module projections, a
+    Frobenius-orthonormal basis of each one's free directions, zero-padded to
+    (W, k, n, n) (none when its p0 already has norm 1), and the submodules.
     With F, F' orthonormal frames of V_c and its complement, the family is
     q_c = F F* plus I_k kron v u* for v in F, u in F', and
     Z (I_k kron v u*) Z^-1 is the sum over i of (Y_i v)(u* W_i), over the
-    column blocks Y_i of the block's part of Z and the row blocks W_i of Z^-1."""
-    n = len(Z)
-    P0 = np.zeros((n, n), dtype=complex)
-    spans, dirs = [np.zeros((n, 0))], [np.zeros((0, n, n), dtype=complex)]
-    for (k, m), at, X in zip(layout, starts, V):
-        s, F = X.shape[1], np.linalg.qr(X, mode="complete")[0]
-        Y = Z[:, at : at + k * m].reshape(n, k, m) @ F[:, :s]
-        W = F.conj().T @ Z_inv[at : at + k * m].reshape(k, m, n)
-        P0 += np.einsum("nia,iaq->nq", Y, W[:, :s])
-        spans.append(Y.reshape(n, -1))
-        dirs.append(np.einsum("nia,ibq->abnq", Y, W[:, s:]).reshape(-1, n, n))
-    D = np.concatenate(dirs)
-    witness = Subspace.from_frame(np.linalg.qr(np.hstack(spans))[0])
-    if not len(D):
-        return P0, D, witness
-    Q = np.linalg.qr(D.reshape(len(D), -1).T)[0]
-    p0 = P0.reshape(-1)
-    p0 = (p0 - Q @ (Q.conj().T @ p0)).reshape(n, n)
-    # no nonzero idempotent has norm below 1, so a p0 of norm 1 is least
-    if operator_norm(p0) <= 1 + 1e-12:
-        return p0, D[:0], witness
-    return p0, Q.T.reshape(-1, n, n), witness
+    column blocks Y_i of the block's part of Z and the row blocks W_i of Z^-1.
+
+    The candidates of one shape, their column count per block, are built
+    together: one batched complete QR of their columns per block, one
+    batched QR of their direction stacks and one stacked norm.
+    """
+    n, W = len(Z), len(candidates)
+    shapes = [tuple(X.shape[1] for X in V) for V in candidates]
+    P0, witnesses, free = np.zeros((W, n, n), dtype=complex), [None] * W, []
+    for shape in dict.fromkeys(shapes):
+        members = np.flatnonzero([s == shape for s in shapes])
+        spans, dirs = [], []
+        for c, ((k, m), at, s) in enumerate(zip(layout, starts, shape)):
+            if not s:
+                continue
+            F = np.linalg.qr(np.array([candidates[w][c] for w in members]), mode="complete")[0]
+            Y = Z[:, at : at + k * m].reshape(n, k, m) @ F[:, None, :, :s]
+            R = F.conj().swapaxes(1, 2)[:, None] @ Z_inv[at : at + k * m].reshape(k, m, n)
+            P0[members] += np.einsum("gnia,giaq->gnq", Y, R[:, :, :s])
+            spans.append(Y.reshape(len(members), n, -1))
+            dirs.append(
+                np.einsum("gnia,gibq->gabnq", Y, R[:, :, s:]).reshape(len(members), -1, n * n)
+            )
+        for w, frame in zip(members, np.linalg.qr(np.concatenate(spans, axis=2))[0]):
+            witnesses[w] = Subspace.from_frame(frame)
+        Q = np.linalg.qr(np.concatenate(dirs, axis=1).swapaxes(1, 2))[0]
+        p0 = P0[members].reshape(len(members), -1, 1)
+        P0[members] = (p0 - Q @ (Q.conj().swapaxes(1, 2) @ p0)).reshape(-1, n, n)
+        # no nonzero idempotent has norm below 1, so a p0 of norm 1 is least
+        kept = _opnorms(P0[members]) > 1 + 1e-12
+        if kept.any():
+            free.append((members[kept], Q[kept].swapaxes(1, 2).reshape(-1, Q.shape[2], n, n)))
+    k = max((Q.shape[1] for _, Q in free), default=0)
+    D = np.zeros((W, k, n, n), dtype=complex)
+    for rows, Q in free:
+        D[rows, : Q.shape[1]] = Q
+    return P0, D, witnesses
 
 
 def _class_lattice(A: AlgebraBasis, cert: ReductionCertificate) -> tuple:

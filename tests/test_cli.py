@@ -600,8 +600,9 @@ class TestEntryPoints:
 
     def test_benchmark_reports_against_a_dump(self, tmp_path):
         # the 48 benchmark reports, dumped without their timings, then
-        # compared with that dump, and with one whose profile and similarity
-        # condition of one case were moved
+        # compared with that dump, with one whose profile and similarity
+        # condition of one case were moved, and with ones whose bound alone
+        # moved within and beyond the 1e-9 relative gate
         script = Path(__file__).resolve().parents[1] / "scripts" / "benchmark_reports.py"
         script = [sys.executable, str(script)]
         dump = subprocess.run(script, capture_output=True, text=True, env=child_env())
@@ -629,6 +630,19 @@ class TestEntryPoints:
             "other fields that differ: 1",
             "  projection-bound/1/M2xI2/wedderburn_profile",
         ]
+        for moved, code in ((1e-10, 0), (1e-8, 1)):
+            drifted = json.loads(dump.stdout)
+            drifted["projection-bound/1/M2xI2"]["projection_constant_lower_bound"] *= 1 + moved
+            path.write_text(json.dumps(drifted))
+            drift = subprocess.run(
+                [*script, str(path)], capture_output=True, text=True, env=child_env()
+            )
+            assert drift.returncode == code, drift.stderr
+            assert drift.stdout.splitlines() == [
+                "similarity_condition: largest relative difference 0",
+                f"projection_constant_lower_bound: largest relative difference {moved:.3g}",
+                "other fields that differ: 0",
+            ]
 
 
 class TestBatchedSummandLoops:

@@ -257,6 +257,32 @@ class TestSubspace:
         assert S.dim == 3
         assert np.allclose(S.frame.conj().T @ S.frame, np.eye(3))
 
+    def test_canonical_key_matches_per_entry_rounding(self, rng):
+        # the key rounds the phase-normalised frame with one np.round call; it
+        # must equal the per-entry round of each np.float64 part, on random
+        # frames and on entries at the half-way points of the last digit kept
+        def per_entry(S, digits):
+            F = S.frame.copy()
+            for j in range(F.shape[1]):
+                piv = F[int(np.argmax(np.abs(F[:, j]))), j]
+                if abs(piv) > 0:
+                    F[:, j] *= np.conj(piv) / abs(piv)
+            flat = [(round(z.real, digits), round(z.imag, digits)) for z in F.T.reshape(-1)]
+            return (S.dim, tuple(flat))
+
+        for n, k in [(2, 1), (4, 2), (6, 3), (8, 8)]:
+            for _ in range(25):
+                X = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+                S = Subspace.from_spanning(X)
+                assert S.canonical_key() == per_entry(S, 6)
+                for digits in (2, 6):
+                    # a real positive first row is each column's pivot, which
+                    # the phase normalisation leaves as it is
+                    halves = rng.integers(-99, 100, size=(2, n, k)) + 0.5
+                    halves[:, 0] = [[199.5], [0.0]]
+                    H = Subspace.from_frame((halves[0] + 1j * halves[1]) / 10**digits)
+                    assert H.canonical_key(digits) == per_entry(H, digits)
+
     def test_null_space_of_noise_is_everything(self):
         N = null_space(1e-15 * np.ones((4, 4)))
         assert N.shape[1] == 4

@@ -908,29 +908,46 @@ class TestProjectionConstantEstimate:
             projection_constant_estimate(a_lambda(1.0), amplification=3)
 
     def test_repeated_union_masks_are_skipped(self, monkeypatch):
-        # M2 x I2 is one class of multiplicity two: its 48 random masks over
-        # the two atoms give an atom again or the whole class, which the class
+        # M2 x I2 is one class of multiplicity two: its random masks over the
+        # two atoms give an atom again or the whole class, which the class
         # lattice norms, so exactly the two atoms and the four graph
-        # candidates of _multiplicity_atoms reach _closed_family, in order
-        atoms, families = [], []
-        multiplicity_atoms, closed_family = modules._multiplicity_atoms, modules._closed_family
+        # candidates of _multiplicity_atoms reach _closed_families, in order;
+        # and the draw stops once all three nonzero masks have come, well
+        # before its 48 draws
+        atoms, families, draws = [], [], []
+        multiplicity_atoms, closed_families = modules._multiplicity_atoms, modules._closed_families
+        default_rng = np.random.default_rng
 
         def recording_atoms(*args):
             atoms.append(multiplicity_atoms(*args))
             return atoms[-1]
 
-        def recording_family(Z, Z_inv, layout, starts, V):
-            families.append(V)
-            return closed_family(Z, Z_inv, layout, starts, V)
+        def recording_families(Z, Z_inv, layout, starts, candidates):
+            families.extend(candidates)
+            return closed_families(Z, Z_inv, layout, starts, candidates)
+
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def integers(self, *args, **kwargs):
+                draws.append(self.rng.integers(*args, **kwargs))
+                return draws[-1]
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
 
         monkeypatch.setattr(modules, "_multiplicity_atoms", recording_atoms)
-        monkeypatch.setattr(modules, "_closed_family", recording_family)
+        monkeypatch.setattr(modules, "_closed_families", recording_families)
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: CountingGenerator(default_rng(*a)))
         bound, _ = projection_constant_estimate(amplified_m2())
         assert bound == pytest.approx(1.0, abs=1e-9)
         assert len(atoms) == 1 and atoms[0].shape == (2, 6)
         assert len(families) == 6
         for j, V in enumerate(families):
             assert len(V) == 1 and np.array_equal(V[0], atoms[0][:, [j]])
+        assert len({tuple(mask) for mask in draws} - {(0, 0)}) == 3
+        assert len(draws) < 2 * modules._FAMILY_CANDIDATES
 
     def test_degenerate_orthogonal_case(self):
         A = generate_algebra([np.diag([1.0, 0.0]).astype(complex)])
@@ -946,6 +963,81 @@ class TestProjectionConstantEstimate:
         bound, _ = projection_constant_estimate(A)
         want = max(operator_norm(p), operator_norm(np.eye(2) - p))
         assert bound == pytest.approx(want, abs=1e-8)
+
+
+def random_multiplicity_algebra(rng):
+    """A conjugated block algebra on at most C^8 with two to three classes, two
+    or more of them of multiplicity above 1, and its blocks."""
+    while True:
+        count = rng.integers(2, 4)
+        blocks = [(int(rng.integers(1, 3)), int(rng.integers(1, 4))) for _ in range(count)]
+        n = sum(k * m for k, m in blocks)
+        if n <= 8 and sum(m > 1 for _, m in blocks) >= 2:
+            break
+    R = random_invertible(n, rng, max_cond=50)
+    R_inv = np.linalg.inv(R)
+    basis = [R @ b @ R_inv for b in block_algebra_basis(blocks).basis]
+    return AlgebraBasis(ambient=n, basis=basis, unital=True), blocks
+
+
+class TestClosedFamilies:
+    @staticmethod
+    def check(A, monkeypatch, seed=0):
+        """The shapes of A's split candidates and how many got no directions,
+        after checking each family that _closed_families builds against
+        _module_projection_family on its witness: the same least-Frobenius p0
+        to 1e-10 relative and the same span of directions, or no directions
+        and a p0 of norm 1."""
+        built = []
+        closed_families = modules._closed_families
+
+        def recording(*args):
+            built.append((args[4], closed_families(*args)))
+            return built[-1][1]
+
+        monkeypatch.setattr(modules, "_closed_families", recording)
+        monkeypatch.setattr(modules, "_spectral_norm_minimiser", lambda P0, D: P0)
+        cert = has_reduction_property(A, seed)[1]
+        modules._split_projections(A, cert, seed)
+        [(candidates, (P0, D, witnesses))] = built
+        assert len(P0) == len(D) == len(witnesses) == len(candidates)
+        least = 0
+        for p0, Dw, V in zip(P0, D, witnesses):
+            want, dirs = _module_projection_family(V, cert.commutant, DEFAULT_TOL)
+            assert np.linalg.norm(p0 - want) <= 1e-10 * np.linalg.norm(want)
+            live = Dw[Dw.any(axis=(1, 2))].reshape(-1, A.ambient**2).T
+            if not live.size:
+                assert operator_norm(p0) <= 1 + 1e-12
+                least += 1
+                continue
+            ref = dirs.reshape(len(dirs), -1).T
+            assert live.shape == ref.shape
+            assert np.linalg.norm(live @ live.conj().T - ref @ ref.conj().T, 2) <= 1e-9
+        return {tuple(X.shape[1] for X in V) for V in candidates}, least
+
+    def test_trunc_k4_m2xi2_and_scalars(self, rng, monkeypatch):
+        R = random_invertible(4, rng, max_cond=20)
+        m2 = amplified_m2()
+        conjugated = AlgebraBasis(4, [R @ b @ np.linalg.inv(R) for b in m2.basis], unital=True)
+        for A in (truncated_graph_example(4, 0.2), m2, conjugated):
+            assert self.check(A, monkeypatch)[0] == {(1,)}
+        # C I_3 has only orthogonal module projections: every p0 has norm 1,
+        # and no candidate keeps a direction
+        scalars = AlgebraBasis(3, [np.eye(3, dtype=complex)], unital=True)
+        shapes, least = self.check(scalars, monkeypatch)
+        assert shapes == {(1,), (2,)} and least == 3 + 4 + 3
+
+    def test_random_algebras_of_mixed_shapes(self, monkeypatch):
+        # candidates of several shapes, their column counts per block, in one
+        # estimate: the grouping of the batched builder, which no benchmark
+        # case reaches
+        rng, shapes = np.random.default_rng(23), set()
+        for _ in range(20):
+            A, blocks = random_multiplicity_algebra(rng)
+            seen = self.check(A, monkeypatch)[0]
+            assert len(seen) > 1
+            shapes |= {(tuple(blocks), shape) for shape in seen}
+        assert len(shapes) > 30
 
 
 def conjugated_diagonal(n, rng, zeros=0):
