@@ -72,12 +72,10 @@ from .tolerance import DEFAULT_TOL, Tolerance
 SEED_ENV_VAR = "REDUCTION_LAB_SEED"
 
 
-def _complex_to_json(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _matrix_to_json(M: np.ndarray) -> list:
-    return [[_complex_to_json(z) for z in row] for row in np.asarray(M)]
+    """Rows x cols x [re, im] nested lists of Python floats."""
+    M = np.asarray(M, dtype=complex)
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def _matrix_from_json(data, what: str = "matrix") -> np.ndarray:

@@ -226,14 +226,19 @@ class Subspace:
         The frame is phase-normalised column by column (largest entry made
         real positive) so SVD sign ambiguity does not leak into orderings.
         """
-        F = self.frame.copy()
-        for j in range(F.shape[1]):
-            k = int(np.argmax(np.abs(F[:, j])))
-            piv = F[k, j]
-            if abs(piv) > 0:
-                F[:, j] *= np.conj(piv) / abs(piv)
-        real, imag = (np.round(part, digits).reshape(-1).tolist() for part in (F.T.real, F.T.imag))
-        return (self.dim, tuple(zip(real, imag)))
+        return _canonical_keys(self.frame[None], digits)[0]
+
+
+def _canonical_keys(frames: np.ndarray, digits: int = 6) -> list[tuple]:
+    """``Subspace.canonical_key`` of each frame of a (g, n, s) stack, from stacked
+    calls: each column is multiplied by the conjugate phase of its largest entry
+    (the first, on a tie; a zero column is left as it is), then rounded."""
+    piv = np.take_along_axis(frames, np.argmax(np.abs(frames), axis=1)[:, None], axis=1)
+    size = np.abs(piv)
+    phase = np.divide(np.conj(piv), size, out=np.ones_like(piv), where=size > 0)
+    F = (frames * phase).swapaxes(1, 2).reshape(len(frames), -1)
+    real, imag = (np.round(part, digits).tolist() for part in (F.real, F.imag))
+    return [(frames.shape[2], tuple(zip(r, i))) for r, i in zip(real, imag)]
 
 
 def _left_factor(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,12 +264,14 @@ def null_space(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the right null space at the rank tolerance.
 
     A constraint matrix at roundoff level (largest singular value below the
-    rank tolerance at unit scale) imposes no constraints at all.  A tall
+    rank tolerance at unit scale) imposes no constraints at all.  When even
+    ||M||_F is at most rank_eps, which bounds that singular value, the basis is
+    I, with no factorisation: the commutant of the scalars, say.  A tall
     system is cut to its cols x cols triangular factor (QR with no Q), which
     has the same singular values and right factor, so no left factor is built.
     """
     M = as_matrix(M)
-    if M.shape[0] == 0 or M.size == 0:
+    if M.size == 0 or np.linalg.norm(M) <= tol.rank_eps:
         return np.eye(M.shape[1], dtype=complex)
     if M.shape[0] > M.shape[1]:
         M = np.linalg.qr(M, mode="r")

@@ -29,6 +29,7 @@ from .errors import (
 from .linalg import (
     Subspace,
     _BARRIER_GAP,
+    _canonical_keys,
     _opnorms,
     _rank,
     check_finite,
@@ -146,12 +147,20 @@ def invariant(V: Subspace, A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> boo
     if V.dim == 0:
         return True
     B = _generating_stack(A)
-    R = (identity(A.ambient) - V.projector()) @ B @ V.frame
+    return _all_invariant((identity(A.ambient) - V.projector()) @ B @ V.frame, B, tol)
+
+
+def _all_invariant(R: np.ndarray, B: np.ndarray, tol: Tolerance) -> bool:
+    """``invariant``'s rule on a (..., k, n, s) stack of residuals R, one
+    (k, n, s) member per subspace over the (k, n, n) generating stack B: every
+    member passes on Frobenius norms, or, for those that do not, on operator
+    norms."""
     check_finite(R)
-    bound = np.maximum(1.0, np.linalg.norm(B, axis=(-2, -1)) / np.sqrt(A.ambient))
-    if np.all(np.linalg.norm(R, axis=(-2, -1)) <= tol.eq_eps * bound):
+    bound = np.maximum(1.0, np.linalg.norm(B, axis=(-2, -1)) / np.sqrt(B.shape[-1]))
+    loose = np.any(np.linalg.norm(R, axis=(-2, -1)) > tol.eq_eps * bound, axis=-1)
+    if not np.any(loose):
         return True
-    return bool(np.all(_opnorms(R) <= tol.eq_eps * np.maximum(1.0, _opnorms(B))))
+    return bool(np.all(_opnorms(R[loose]) <= tol.eq_eps * np.maximum(1.0, _opnorms(B))))
 
 
 def _invariance_residual(V: Subspace, A: AlgebraBasis) -> float:
@@ -215,37 +224,58 @@ def _draws(A: AlgebraBasis, C: AlgebraBasis, seed: int, tol: Tolerance):
     For a semisimple A the eigenspaces of a generic element z of its commutant
     C are irreducible submodules (Murota, Kanno, Kojima & Kojima, Japan J.
     Indust. Appl. Math. 27, 2010).  A draw spans each eigenvalue cluster of a
-    random z in C once, sorts the pieces by ``canonical_key`` and labels them
-    (``_class_labels``).  The one-dimensional pieces that every generator b
-    maps to at most eq_eps ||b|| span the kernel of the unit (none when A is
-    unital), a test free of the basis scale.  A draw yields (pieces, homs,
-    kernel): the other pieces as (piece, label), their intertwiners and the
-    kernel's frames, when every piece has its cluster's dimension, is
-    invariant and is labelled, and the sum of k^2 over the classes is dim A
-    (see ``has_reduction_property``); else None.
+    random z in C once (``_framed_pieces``), sorts the pieces by
+    ``canonical_key`` and labels them (``_class_labels``).  A draw yields
+    (pieces, homs, kernel): the pieces outside the kernel of the unit as
+    (piece, label), their intertwiners and the kernel's frames, when every
+    piece passes and is labelled, and the sum of k^2 over the classes is
+    dim A (see ``has_reduction_property``); else None.
     """
-    n, B = A.ambient, _generating_stack(A)
-    norms = _opnorms(B)
     rng = np.random.default_rng(seed)
     for _ in range(_SPLIT_RETRIES):
         evals, vecs = np.linalg.eig(C.combine(rng.standard_normal(C.dim)))
-        clusters = eig_clusters(evals)
-        pieces = [Subspace.from_spanning(vecs[:, cl], ambient=n, tol=tol) for cl in clusters]
-        kept = all(p.dim == len(cl) and invariant(p, A, tol) for p, cl in zip(pieces, clusters))
-        labelled = kept and _class_labels(sorted(pieces, key=Subspace.canonical_key), A, tol)
+        drawn = _framed_pieces(A, vecs, eig_clusters(evals), tol)
+        labelled = drawn and _class_labels([p for p, _ in drawn], A, tol)
         if not labelled:
             yield None
             continue
-        pieces, homs, kernel = [], [], []
-        for p, lab, T in labelled:
-            image = np.linalg.norm(B @ p.frame, axis=(1, 2))
-            if not A.unital and p.dim == 1 and np.all(image <= tol.eq_eps * norms):
-                kernel.append(p.frame)
-            else:
-                pieces.append((p, lab))
-                homs.append(T)
-        size = sum(k * k for k in {lab: p.dim for p, lab in pieces}.values())
-        yield (pieces, homs, kernel) if size == A.dim else None
+        kept = [(p, lab, T) for (p, lab, T), (_, nil) in zip(labelled, drawn) if not nil]
+        size = sum(k * k for k in {lab: p.dim for p, lab, _ in kept}.values())
+        pieces, kernel = [(p, lab) for p, lab, _ in kept], [p.frame for p, nil in drawn if nil]
+        yield (pieces, [T for *_, T in kept], kernel) if size == A.dim else None
+
+
+def _framed_pieces(A: AlgebraBasis, vecs: np.ndarray, clusters: list, tol: Tolerance):
+    """The pieces spanned by the eigenvector ``clusters`` of one draw, sorted by
+    ``canonical_key``, as (piece, in the kernel of the unit); None when a piece
+    has not its cluster's dimension or is not invariant.
+
+    The clusters of one size are handled in stacked calls: one SVD frames
+    them all, one residual (I - P_V) b F over the generating stack tests
+    their invariance by ``invariant``'s rule (``_all_invariant``), and their
+    keys come from the frame stack.  The one-dimensional pieces that every
+    generator b maps to at most eq_eps ||b|| span the kernel of the unit
+    (none when A is unital), a test free of the basis scale, read from the
+    same stacked images b F.
+    """
+    B = _generating_stack(A)
+    check_finite(vecs)
+    drawn = []  # (key, piece, in the kernel)
+    for size in sorted({len(cl) for cl in clusters}):
+        F, sig = np.linalg.svd(
+            vecs[:, [cl for cl in clusters if len(cl) == size]].swapaxes(0, 1), full_matrices=False
+        )[:2]
+        if np.any(sig[:, 0] <= tol.rank_eps) or np.any(sig[:, -1] <= tol.rank_eps * sig[:, 0]):
+            return None
+        BF = B @ F[:, None]
+        if not _all_invariant(BF - F[:, None] @ (F.conj().swapaxes(1, 2)[:, None] @ BF), B, tol):
+            return None
+        nil = np.zeros(len(F), dtype=bool)
+        if size == 1 and not A.unital:
+            image = np.linalg.norm(BF, axis=(-2, -1))
+            nil = np.all(image <= tol.eq_eps * _opnorms(B), axis=1)
+        drawn += zip(_canonical_keys(F), map(Subspace.from_frame, F), nil.tolist())
+    return [(p, nil) for _, p, nil in sorted(drawn, key=lambda t: t[0])]
 
 
 def _class_labels(pieces: list, A: AlgebraBasis, tol: Tolerance) -> list | None:
@@ -253,38 +283,80 @@ def _class_labels(pieces: list, A: AlgebraBasis, tol: Tolerance) -> list | None:
     spans Hom(V, piece) from the first piece V of its class (I for V), or None
     when a piece has dim End != 1, or a Hom between copies is not
     one-dimensional or is singular at the rank tolerance (no isomorphism).
-
-    Each unlabelled piece V in turn gets one stacked ``_intertwiner_systems``
-    call: V's own system, then V against every later unlabelled piece W of its
-    dimension, cut to triangular factors by one stacked QR (with no Q, when the
-    systems are tall).  An SVD with no vectors ranks V's own: dim End(V) = 1
-    certifies V irreducible when A is semisimple (Schur).  One stacked SVD
-    ranks the others; a W with Hom(V, W) != 0 is a copy of V, and T is the
-    last right singular vector, from the factor ``intertwiners`` reads.
+    dim End(V) = 1 certifies V irreducible when A is semisimple (Schur).  Each
+    unlabelled piece V in turn opens a class, which takes every later
+    unlabelled piece W with Hom(V, W) != 0.  The Homs come from
+    ``_hom_ranks``, one call per dimension.
     """
-    labels: dict = {}
+    labels: list = [None] * len(pieces)
     classes = 0
-    for i, V in enumerate(pieces):
-        if i in labels:
-            continue
-        rest = [j for j in range(i + 1, len(pieces)) if j not in labels and pieces[j].dim == V.dim]
-        S = _intertwiner_systems(A, [V] * (1 + len(rest)), [V] + [pieces[j] for j in rest])
-        if S.shape[1] > S.shape[2]:
-            S = np.linalg.qr(S, mode="r")
-        q = V.dim**2
-        if q - _rank(np.linalg.svd(S[0], compute_uv=False), tol) != 1:
-            return None
-        labels[i] = (classes, identity(V.dim))
-        _, sig, Vh = np.linalg.svd(S[1:], full_matrices=S.shape[1] < S.shape[2])
-        for j, s, vh in zip(rest, sig, Vh):
-            h = q - _rank(s, tol)
-            T = vh[-1].conj().reshape(V.dim, V.dim)
-            if h > 1 or h and _rank(np.linalg.svd(T, compute_uv=False), tol) < V.dim:
+    for d in sorted({p.dim for p in pieces}):
+        at = [i for i, p in enumerate(pieces) if p.dim == d]
+        ends, dims, T, invertible = _hom_ranks([pieces[i] for i in at], A, tol)
+        for a, i in enumerate(at):
+            if labels[i] is not None:
+                continue
+            if ends[a] != 1:
                 return None
-            if h:
-                labels[j] = (classes, T)
-        classes += 1
+            labels[i] = (classes, identity(d))
+            for b in range(a + 1, len(at)):
+                if labels[at[b]] is None and dims[a, b]:
+                    if dims[a, b] > 1 or not invertible[a, b]:
+                        return None
+                    labels[at[b]] = (classes, T[a, b])
+            classes += 1
     return [(p, *labels[i]) for i, p in enumerate(pieces)]
+
+
+def _hom_ranks(pieces: list, A: AlgebraBasis, tol: Tolerance) -> tuple:
+    """(ends, dims, T, invertible) for m invariant ``pieces`` of one dimension d:
+    dim End of each, dim Hom(V_a, V_b) for a < b in an (m, m) array (zero on
+    and below the diagonal), the last right singular vector T[a, b] of each
+    pair's system as a d x d map, and whether each one-dimensional Hom's T is
+    nonsingular at the rank tolerance.
+
+    For d = 1, End is always one-dimensional, and V, W are copies exactly when
+    their characters f* b f (frames f) over the scaled generating stack
+    (``_scaled_generating_stack``) differ by at most rank_eps: that distance is
+    the only singular value of their 1 x 1 Sylvester system.  Their T is 1.
+    For d > 1 one ``_intertwiner_systems`` call holds every piece's own system
+    and one per pair a < b, cut to triangular factors by one stacked QR (with
+    no Q, when the systems are tall).  One SVD with no vectors ranks the Ends,
+    one stacked SVD the pairs (T is read from the factor ``intertwiners``
+    reads), and one more with no vectors the T of every one-dimensional Hom.
+    """
+    m, d = len(pieces), pieces[0].dim
+    upper = np.triu_indices(m, 1)
+    dims = np.zeros((m, m), dtype=int)
+    if d == 1:
+        F = np.array([p.frame for p in pieces])[:, None]
+        chars = (F.conj().swapaxes(-1, -2) @ _scaled_generating_stack(A) @ F).reshape(m, -1)
+        dims[upper] = np.linalg.norm(chars[:, None] - chars[None], axis=-1)[upper] <= tol.rank_eps
+        return np.ones(m, dtype=int), dims, np.ones((m, m, 1, 1), dtype=complex), dims == 1
+    pairs = [pieces[a] for a in upper[0]], [pieces[b] for b in upper[1]]
+    S = _intertwiner_systems(A, pieces + pairs[0], pieces + pairs[1])
+    if S.shape[1] > S.shape[2]:
+        S = np.linalg.qr(S, mode="r")
+    ends = [d * d - _rank(sig, tol) for sig in np.linalg.svd(S[:m], compute_uv=False)]
+    T = np.zeros((m, m, d, d), dtype=complex)
+    invertible = np.zeros((m, m), dtype=bool)
+    if m > 1:
+        _, sig, Vh = np.linalg.svd(S[m:], full_matrices=S.shape[1] < S.shape[2])
+        dims[upper] = [d * d - _rank(s, tol) for s in sig]
+        T[upper] = Vh[:, -1].conj().reshape(-1, d, d)
+        copies = tuple(ix[dims[upper] == 1] for ix in upper)
+        if copies[0].size:
+            ranks = np.linalg.svd(T[copies], compute_uv=False)
+            invertible[copies] = [_rank(s, tol) == d for s in ranks]
+    return ends, dims, T, invertible
+
+
+def _scaled_generating_stack(A: AlgebraBasis) -> np.ndarray:
+    """The generating stack (``_generating_stack``) divided by the power of two
+    nearest its largest Frobenius norm; the division is exact."""
+    B = _generating_stack(A)
+    top = float(np.max(np.linalg.norm(B, axis=(-2, -1)), initial=0.0)) or 1.0
+    return B / 2.0 ** np.round(np.log2(top))
 
 
 def _intertwiner_systems(A: AlgebraBasis, sources: list, targets: list) -> np.ndarray:
@@ -295,13 +367,11 @@ def _intertwiner_systems(A: AlgebraBasis, sources: list, targets: list) -> np.nd
     elements, else from the basis (``_generating_stack``), as an intertwiner
     of the generators intertwines the whole algebra.  Both restricted stacks
     are divided by the power of two nearest the largest Frobenius norm in that
-    stack, so the rank floor applied to a system does not depend on the scale
-    of A; the division is exact, so a unit-scale stack keeps every bit of its
-    system.
+    stack (``_scaled_generating_stack``), so the rank floor applied to a system
+    does not depend on the scale of A; the division is exact, so a unit-scale
+    stack keeps every bit of its system.
     """
-    B = _generating_stack(A)
-    top = float(np.max(np.linalg.norm(B, axis=(-2, -1)), initial=0.0)) or 1.0
-    B = B / 2.0 ** np.round(np.log2(top))
+    B = _scaled_generating_stack(A)
     V, W = (np.array([S.frame for S in group])[:, None] for group in (sources, targets))
     lefts, rights = (F.conj().swapaxes(-1, -2) @ B @ F for F in (W, V))
     p, q = lefts.shape[-1], rights.shape[-1]
@@ -429,9 +499,11 @@ def _piece_basis(pieces: list, homs: list, K: np.ndarray) -> tuple:
     with G_c kron H_c the Kronecker fit of Y_c* Y_c (``_kronecker_fit``):
     Z~ = Z R^-1 and Z~^-1 = R Z^-1 for R = (+) (G_c^1/2 kron H_c^1/2) (+) I_d,
     which commutes with the block algebra.  The roots are per factor, as a
-    root of the whole block would spread by cond G cond H; a (1, 1) block
-    has the scalar root ||y||, so its column becomes y / ||y|| and its row
-    of Z^-1 is multiplied by ||y||, with no fit.  A singular Z, or a fit that
+    root of the whole block would spread by cond G cond H.  A block with one
+    factor of size 1 has the other factor Y_c* Y_c and the root of that
+    alone, with no fit.  The (1, 1) blocks, which come last before K, have
+    the scalar roots ||y||, taken in one step: each column becomes y / ||y||
+    and its row of Z^-1 is multiplied by ||y||.  A singular Z, or a fit that
     does not settle, is a breakdown in stage 'block-similarity'.
     """
     n = K.shape[0]
@@ -450,15 +522,20 @@ def _piece_basis(pieces: list, homs: list, K: np.ndarray) -> tuple:
     at = 0
     for k, mult, Y in groups:
         if k * mult == 1:
-            root = np.sqrt((Y.conj().T @ Y).real)
-            Z[:, at : at + 1] = Y / root
-            Z_inv[at : at + 1] *= root
+            break
+        if min(k, mult) == 1:
+            root = matrix_sqrt_positive(Y.conj().T @ Y)
         else:
             G, H = _kronecker_fit(Y.conj().T @ Y, k, mult)
             root = np.kron(matrix_sqrt_positive(G), matrix_sqrt_positive(H))
-            Z[:, at : at + k * mult] = Y @ np.linalg.inv(root)
-            Z_inv[at : at + k * mult] = root @ Z_inv[at : at + k * mult]
+        Z[:, at : at + k * mult] = Y @ np.linalg.inv(root)
+        Z_inv[at : at + k * mult] = root @ Z_inv[at : at + k * mult]
         at += k * mult
+    ones = slice(at, n - K.shape[1])
+    Y = Z[:, ones].T[:, None]
+    root = np.sqrt((Y.conj() @ Y.swapaxes(1, 2)).real).reshape(-1)
+    Z[:, ones] /= root
+    Z_inv[ones] *= root[:, None]
     return tuple((k, mult) for k, mult, _ in groups), Z, Z_inv
 
 
@@ -992,7 +1069,8 @@ def _class_lattice(A: AlgebraBasis, cert: ReductionCertificate) -> tuple:
     formed, balanced first (|2|U| - r| ascending, then by size and by number,
     bit k of the number being atom k), at most ``_POINT_UNIONS`` of them: all
     2^(r-1) - 1 up to r = 12.  Batched ``_opnorms`` calls take their norms;
-    the bound is max(1, their maximum), the whole space giving 1.
+    the bound is max(1, their maximum), the whole space giving 1.  The atoms
+    are framed by one stacked QR per atom size.
 
     The r atom projections must sum to I to 1e-6.
     """
@@ -1008,7 +1086,12 @@ def _class_lattice(A: AlgebraBasis, cert: ReductionCertificate) -> tuple:
             f"(defect {defect:.2e})"
         )
 
-    atoms = [Subspace.from_frame(np.linalg.qr(Z[:, owner == a])[0]) for a in range(r)]
+    frames: list = [None] * r
+    for s in set(sizes):
+        same = [a for a in range(r) if sizes[a] == s]
+        for a, q in zip(same, np.linalg.qr(np.array([Z[:, owner == a] for a in same]))[0]):
+            frames[a] = q
+    atoms = [Subspace.from_frame(q) for q in frames]
     witnesses = list(zip(atoms, _opnorms(P).tolist()))
     if r == 1:
         return 1.0, witnesses, P

@@ -246,11 +246,15 @@ def _self_adjointness_defect(conj: np.ndarray, blocks: tuple) -> float:
     ``conj`` from the block algebra (+) M_k kron I_mult (+) 0 of ``blocks``, the
     coordinates after them annihilated: ||R||_F / ||c||_F, where R is c less
     y kron I_mult on each block M of c, for y = tr_mult(M) / mult.  Relative to
-    each c's own norm, it does not depend on the scale of the algebra."""
+    each c's own norm, it does not depend on the scale of the algebra.  A
+    block with mult = 1 is its own y, so its part of R is zero, with no kron."""
     R, at = conj.copy(), 0
     for k, m in blocks:
         M = R[:, at : at + k * m, at : at + k * m]
-        M -= np.kron(np.einsum("gajbj->gab", M.reshape(-1, k, m, k, m)) / m, np.eye(m))
+        if m == 1:
+            M[...] = 0
+        else:
+            M -= np.kron(np.einsum("gajbj->gab", M.reshape(-1, k, m, k, m)) / m, np.eye(m))
         at += k * m
     resid, size = (np.linalg.norm(X, axis=(-2, -1)) for X in (R, conj))
     resid = np.divide(resid, size, out=np.zeros_like(resid), where=size > 0)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from reduction_lab import algebra, modules
 from reduction_lab.algebra import AlgebraBasis, bicommutant, commutant, span_equal
-from reduction_lab.cli import SEED_ENV_VAR, analysis_report, build_parser, main
+from reduction_lab.cli import SEED_ENV_VAR, _matrix_to_json, analysis_report, build_parser, main
 from reduction_lab.errors import NumericalDegeneracyError
 from reduction_lab.gallery import Digraph, a_lambda, digraph_algebra, truncated_graph_example
 from reduction_lab.linalg import operator_norm
@@ -671,6 +672,97 @@ class TestBatchedSummandLoops:
         assert len(calls) < 158 / 2
 
 
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPairs:
+    SPEC = [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "pc_bound_gmean", "better": "higher", "bound": 0.02},
+    ]
+
+    @staticmethod
+    def runs(parent_wall, change_wall, rounds):
+        def record(seed, wall, r):
+            return {"seed": seed, "wall_s": wall, "pc_bound_gmean": 2.0, "rounds": r,
+                    "peak_rss_mb": 40.0 + 0.02 * r}
+
+        pairs = list(enumerate(zip(parent_wall, change_wall, rounds), 1))
+        return {
+            "algebra-ladder": {
+                "parent": [record(i, p, r) for i, (p, _, r) in pairs],
+                "change": [record(i, c, 2 * r) for i, (_, c, r) in pairs],
+            }
+        }
+
+    def test_summary_of_synthetic_runs(self):
+        bench = load_script("bench_pairs")
+        parent = [1.0, 1.2, 0.9, 1.1, 1.05, 0.95, 1.0, 1.15, 0.85, 1.0]
+        change = [w - 0.2 for w in parent]
+        change[3] = 1.3  # one pair lost
+        out = bench.summarise(self.runs(parent, change, range(100, 110)), self.SPEC,
+                              ("algebra-ladder", "wall_s"))
+        wall = out["summary"]["algebra-ladder"]["wall_s"]
+        assert wall["parent"] == parent and wall["change"] == change
+        assert wall["parent_median"] == 1.0 and wall["change_median"] == pytest.approx(0.8)
+        assert wall["parent_quartiles"] == pytest.approx([0.9625, 1.0, 1.0875])
+        assert wall["pairs_won_by_change"] == 9
+        assert wall["relative_change_of_median"] == pytest.approx(-0.2)
+        assert wall["within_bound"]
+        flat = out["summary"]["algebra-ladder"]["pc_bound_gmean"]
+        assert flat["pairs_won_by_change"] == 0 and flat["within_bound"]
+        gain = out["claimed_gain"]
+        assert gain["pairs"] == 10 and gain["pairs_won_by_change"] == 9
+        assert gain["median_difference"] == pytest.approx(0.2)
+        assert gain["parent_interquartile_distance"] == pytest.approx(0.125)
+        assert gain["met"]
+        fit = out["peak_rss_fit"]["algebra-ladder"]
+        assert fit["runs"] == 20 and fit["intercept_mb"] == pytest.approx(40.0)
+        assert fit["per_round_kib"] == pytest.approx(20.48) and fit["max_residual_mb"] < 1e-9
+
+    def test_claim_needs_nine_pairs_in_ten_and_the_interquartile_distance(self):
+        bench = load_script("bench_pairs")
+        parent = [1.0, 1.2, 0.9, 1.1, 1.05, 0.95, 1.0, 1.15, 0.85, 1.0]
+        two_lost = [w - 0.2 for w in parent]
+        two_lost[3] = two_lost[5] = 1.3
+        small = [w - 0.01 for w in parent]
+        for change in (two_lost, small):
+            out = bench.summarise(self.runs(parent, change, range(10)), self.SPEC,
+                                  ("algebra-ladder", "wall_s"))
+            assert not out["claimed_gain"]["met"]
+        assert "claimed_gain" not in bench.summarise(self.runs(parent, small, range(10)),
+                                                     self.SPEC, None)
+
+
+class TestMatrixJson:
+    @staticmethod
+    def per_entry(M):
+        return [[[float(np.real(z)), float(np.imag(z))] for z in row] for row in np.asarray(M)]
+
+    def test_stacked_conversion_matches_per_entry(self):
+        # the report's matrices, as the per-entry conversion wrote them, byte
+        # for byte: a T_4 no-certificate, signed zeros and subnormals, and a
+        # real integer matrix
+        A = digraph_algebra(Digraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        ok, cert = modules.has_reduction_property(A)
+        assert not ok
+        tiny = np.array(
+            [[complex(-0.0, 5e-324), complex(1e-310, -0.0)], [complex(-0.0, -0.0), 2.5e-320 + 0j]]
+        )
+        for M in (cert.radical_element, cert.witness.frame, tiny, np.arange(6).reshape(2, 3)):
+            got, want = (
+                json.dumps(x, sort_keys=True, separators=(",", ":"))
+                for x in (_matrix_to_json(M), self.per_entry(M))
+            )
+            assert got == want
+        assert json.dumps(_matrix_to_json(tiny)).count("-0.0") == 4
+
+
 class TestBenchmarkCases:
     def test_workload_reports_pass_the_benchmark_checks(self, capsys, monkeypatch, tmp_path):
         # every case of both benchmark workloads at workload seed 1, run
@@ -688,6 +780,22 @@ class TestBenchmarkCases:
                 assert code == 0, f"{case.name}: {err}"
                 problems += check_report(case, json.loads(out))
         assert problems == []
+
+    def test_chain_reports_keep_bicommutant_unequal(self, capsys, monkeypatch, tmp_path):
+        # T6 and T8 are noes with a scalar commutant, whose commutant the
+        # report solves from a zero Sylvester system: null_space returns I,
+        # all of M_n, which is not T_n
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        for case in workloads.build("algebra-ladder", 1, tmp_path):
+            if case.name in ("T6", "T8"):
+                code, out, err = run(capsys, list(case.argv))
+                assert code == 0, f"{case.name}: {err}"
+                report = json.loads(out)
+                assert not report["reduction_property"]["verdict"]
+                assert report["commutant_dimension"] == 1
+                assert report["bicommutant_equals_algebra"] is False
 
     def test_projection_bound_barrier_members(self, capsys, monkeypatch, tmp_path):
         # the projection-bound cases at workload seed 1: every free member of

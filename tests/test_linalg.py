@@ -362,6 +362,17 @@ class TestNullSpaceKernel:
         assert np.allclose(N.conj().T @ N, np.eye(cols - rank), atol=1e-10)
         assert operator_norm(M @ N) < 1e-10 * operator_norm(M)
 
+    def test_frobenius_floor_is_no_constraint(self, monkeypatch, rng):
+        # ||M||_F <= rank_eps bounds the largest singular value by the rank
+        # floor: the null space is everything, returned as I with no QR or SVD
+        M = rng.standard_normal((40, 9)) + 1j * rng.standard_normal((40, 9))
+        floor = M * (0.999 * DEFAULT_TOL.rank_eps / np.linalg.norm(M))
+        monkeypatch.setattr(np.linalg, "svd", None)
+        monkeypatch.setattr(np.linalg, "qr", None)
+        for system in (floor, np.zeros((36, 36)), floor[:3]):
+            N = null_space(system)
+            assert N.dtype == complex and np.array_equal(N, np.eye(system.shape[1]))
+
     @pytest.mark.parametrize("k, p, q", [(3, 4, 5), (1, 2, 2), (0, 3, 3), (7, 6, 6)])
     def test_sylvester_system_is_the_kron_stack(self, rng, k, p, q):
         L = rng.standard_normal((k, p, p)) + 1j * rng.standard_normal((k, p, p))

@@ -32,6 +32,7 @@ from reduction_lab.gallery import (
 from reduction_lab.linalg import (
     Subspace,
     _opnorms,
+    _rank,
     null_space,
     operator_norm,
     solve_consistent,
@@ -1381,18 +1382,19 @@ class TestBatchedSummandLoops:
             (
                 lambda: generate_algebra([np.diag([1.0, 2.0, 3.0]).astype(complex)], unital=True),
                 [0, 1, 2],
-                [3, 2, 1],
+                [],
             ),
-            (lambda: block_algebra_basis([(2, 4)]), [0] * 4, [4]),
-            (lambda: block_algebra_basis([(1, 5)]), [0] * 5, [5]),
+            (lambda: block_algebra_basis([(2, 4)]), [0] * 4, [(4, 6)]),
+            (lambda: block_algebra_basis([(1, 5)]), [0] * 5, []),
         ],
         ids=["C^3", "M2 x I4", "C x I5"],
     )
     def test_one_commutant_one_call_per_class(self, monkeypatch, make, labels, systems):
-        # one commutant of the algebra given, and per class one stacked call:
-        # its representative's own system, then one per later unlabelled piece
-        # of its dimension, so m copies take m systems
-        commutants, rows = [], []
+        # one commutant of the algebra given, and one stacked call per piece
+        # dimension d > 1: every piece's own system, then one per pair i < j,
+        # so m copies take m End and m(m - 1)/2 pair systems; one-dimensional
+        # pieces are labelled by their characters and build no system
+        commutants, calls = [], []
         comm, build = modules.commutant, modules._intertwiner_systems
 
         def counting_commutant(A, tol=DEFAULT_TOL):
@@ -1400,7 +1402,7 @@ class TestBatchedSummandLoops:
             return comm(A, tol)
 
         def counting_systems(A, sources, targets):
-            rows.append(len(sources))
+            calls.append((sources, targets))
             return build(A, sources, targets)
 
         monkeypatch.setattr(modules, "commutant", counting_commutant)
@@ -1409,7 +1411,13 @@ class TestBatchedSummandLoops:
         dec = irreducible_decomposition(A)
         assert [label for _, label in dec] == labels
         assert commutants == [A]
-        assert rows == systems
+        same = [[s is t for s, t in zip(*c)] for c in calls]
+        assert [(sum(x), len(x) - sum(x)) for x in same] == systems
+        for sources, targets in calls:
+            ends = sources[: len(dec)]
+            assert [p for p, _ in dec] == ends == targets[: len(dec)]
+            pairs = list(zip(sources[len(dec) :], targets[len(dec) :]))
+            assert pairs == list(itertools.combinations(ends, 2))
 
     def test_merged_draw_is_drawn_again(self, monkeypatch):
         # a draw whose clusters merge gives a reducible piece: the first draw is
@@ -1494,3 +1502,54 @@ class TestBatchedSummandLoops:
         assert per_item_family(V, comm) is None
         assert _module_projection_family(V, comm, DEFAULT_TOL) is None
         assert module_complement(V, A) is None
+
+
+class TestBatchedLabels:
+    def test_hom_dims_match_intertwiners(self):
+        # every pair of one dimension in a draw, ranked in one stack, against
+        # the one-pair intertwiner space; pieces of two dimensions never share
+        # a class
+        rng, tested = np.random.default_rng(24), 0
+        while tested < 50:
+            A, blocks, _ = random_semisimple_algebra(rng, max_dim=6)
+            if all(m == 1 for _, m in blocks):
+                continue
+            labelled = has_reduction_property(A, seed=tested)[1].pieces
+            pieces = [p for p, _ in labelled]
+            for d in {p.dim for p in pieces}:
+                group = [p for p in pieces if p.dim == d]
+                ends, dims, _, _ = modules._hom_ranks(group, A, DEFAULT_TOL)
+                assert list(ends) == [intertwiners(V, V, A).dim for V in group] == [1] * len(group)
+                for a, b in itertools.combinations(range(len(group)), 2):
+                    assert dims[a, b] == intertwiners(group[a], group[b], A).dim
+            for (p, a), (q, b) in itertools.combinations(labelled, 2):
+                assert p.dim == q.dim or a != b
+            tested += 1
+
+    @pytest.mark.parametrize("distance", [0.5, 2.0])
+    def test_character_rule_matches_sylvester_rank(self, distance):
+        # two coordinate lines whose characters over the (unit-scale) stack
+        # differ by distance * rank_eps: a copy exactly when the 1 x 1
+        # Sylvester system has rank 0
+        t = distance * DEFAULT_TOL.rank_eps
+        g = np.diag([0.75, 0.75 + t]).astype(complex)
+        A = AlgebraBasis(ambient=2, basis=[g], unital=False)
+        V, W = Subspace.span_of_basis_vector(2, 0), Subspace.span_of_basis_vector(2, 1)
+        ends, dims, T, invertible = modules._hom_ranks([V, W], A, DEFAULT_TOL)
+        S = modules._intertwiner_systems(A, [V], [W])[0]
+        rank = _rank(np.linalg.svd(S, compute_uv=False), DEFAULT_TOL)
+        assert list(ends) == [1, 1]
+        assert dims[0, 1] == 1 - rank == (distance < 1)
+        assert invertible[0, 1] == (distance < 1) and T[0, 1].tolist() == [[1]]
+
+    def test_local_commutant_stays_a_no(self):
+        # A = {[[a, b], [0, a]]} is its own commutant, of dimension 2, and any
+        # z in it has one eigenvalue: its eigenvectors do not span C^2, so
+        # every draw is refused, and A stays a no with its radical certificate
+        A = generate_algebra([unit(2, 0, 1)], unital=True)
+        C = commutant(A)
+        assert A.dim == C.dim == 2
+        assert not any(modules._draws(A, C, 0, DEFAULT_TOL))
+        ok, cert = has_reduction_property(A)
+        assert not ok and cert.radical_dim == 1 and cert.witness.dim == 1
+        assert span_equal(cert.commutant, C)
