@@ -19,7 +19,9 @@ workload, the least-squares line of ``peak_rss_mb`` on rounds over the runs
 of both sides, as ``perfbench/run.py`` keeps every yes report and so grows
 with the rounds a run completes.  A claimed gain is met when the change wins
 at least nine in ten pairs and its median is better than the parent's by more
-than the parent's interquartile distance.
+than the parent's interquartile distance.  Every end-to-end metric outside
+its bound, and a claimed gain not met, is printed to standard error, and the
+script then exits 1.
 """
 
 import argparse
@@ -141,6 +143,27 @@ def summarise(runs: dict, end_to_end: list, claim: tuple | None) -> dict:
     return out
 
 
+def shortfalls(result: dict) -> list:
+    """One line for each end-to-end metric of ``result`` (the summary of
+    ``summarise``) outside its bound, and one for a claimed gain not met."""
+    out = [
+        f"{workload}/{name}: median {s['parent_median']:.6g} -> {s['change_median']:.6g} "
+        f"({s['relative_change_of_median']:+.1%}) is outside its bound {s['bound']:g}"
+        for workload, metrics in result["summary"].items()
+        for name, s in metrics.items()
+        if not s["within_bound"]
+    ]
+    gain = result.get("claimed_gain")
+    if gain and not gain["met"]:
+        out.append(
+            f"claim {gain['workload']}/{gain['metric']} not met: {gain['pairs_won_by_change']} "
+            f"of {gain['pairs']} pairs won, median difference {gain['median_difference']:.6g} "
+            f"against the parent's interquartile distance "
+            f"{gain['parent_interquartile_distance']:.6g}"
+        )
+    return out
+
+
 def unpack(commit: str, dest: Path) -> str:
     """Unpack ``commit`` into ``dest`` with ``git archive``; returns its short hash."""
     short = subprocess.run(
@@ -217,7 +240,10 @@ def main() -> int:
     gain = result.get("claimed_gain")
     if gain:
         print(json.dumps(gain), file=sys.stderr)
-    return 0
+    failed = shortfalls(result)
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -5,14 +5,18 @@ M_n is given by two generators, the plain clock diag(exp(2 pi i j / n)) and
 the cyclic shift, with no conjugation.  With ``--central`` the algebra is
 instead the diagonal algebra C^n of n central summands, generated by the
 clock conjugated by the fixed shear I + 1/2 (strict upper triangle of ones),
-so that its unions of summands are skew.  The last column is the report's
+so that its unions of summands are skew.  With ``--chain`` it is the
+upper-triangular algebra T_n of the chain digraph, generated by the clock
+and the superdiagonal of ones, as the benchmark's ``chain`` case is before
+its conjugation; its verdict is a no.  The last column is the report's
 ``projection_constant_lower_bound``, so a C^n ladder records its bound beside
-its wall (1 on M_n).  Each n runs in a fresh Python
+its wall (1 on M_n, "-" on T_n, which has none).  Each n runs in a fresh Python
 process with 2 BLAS threads (fewer if fewer CPUs are available), so each peak
 resident set is that analysis's alone:
 
     PYTHONPATH=src python3 scripts/mn_walls.py 10 12 14 16
     PYTHONPATH=src python3 scripts/mn_walls.py --central 6 8 12 13
+    PYTHONPATH=src python3 scripts/mn_walls.py --chain 16 24 32
 """
 
 import argparse
@@ -40,11 +44,13 @@ print(code, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 """
 
 
-def write_spec(path: Path, n: int, central: bool) -> None:
+def write_spec(path: Path, n: int, kind: str) -> None:
     clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    if central:
+    if kind == "central":
         shear = np.eye(n) + 0.5 * np.triu(np.ones((n, n)), 1)
         mats = [shear @ clock @ np.linalg.inv(shear)]
+    elif kind == "chain":
+        mats = [clock, np.diag(np.ones(n - 1, dtype=complex), 1)]
     else:
         mats = [clock, np.roll(np.eye(n, dtype=complex), 1, axis=0)]
     gens = [[[[z.real, z.imag] for z in row] for row in g] for g in mats]
@@ -54,8 +60,12 @@ def write_spec(path: Path, n: int, central: bool) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("sizes", type=int, nargs="+")
-    ap.add_argument("--central", action="store_true", help="C^n under a fixed shear, not M_n")
+    algebra = ap.add_mutually_exclusive_group()
+    algebra.add_argument("--central", action="store_true", help="C^n under a fixed shear, not M_n")
+    algebra.add_argument("--chain", action="store_true", help="the chain algebra T_n, not M_n")
     args = ap.parse_args()
+    kind = "central" if args.central else "chain" if args.chain else "full"
+    prefix = {"central": "C^", "chain": "T_", "full": "M_"}[kind]
 
     threads = str(min(BLAS_THREADS, len(os.sched_getaffinity(0))))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
@@ -63,9 +73,9 @@ def main() -> None:
     print(f"{'n':>4} {'seconds':>9} {'peak_MiB':>9} {'bound':>12}")
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
-            name = f"C^{n}" if args.central else f"M_{n}"
+            name = f"{prefix}{n}"
             spec = Path(tmp) / f"{name}.json"
-            write_spec(spec, n, args.central)
+            write_spec(spec, n, kind)
             proc = subprocess.run(
                 [sys.executable, "-c", CHILD, str(spec)],
                 env=env, capture_output=True, text=True, check=True,
@@ -73,7 +83,8 @@ def main() -> None:
             code, seconds, peak, bound = proc.stdout.split()
             if code != "0":
                 sys.exit(f"analyze on {name} exited {code}")
-            print(f"{n:>4} {float(seconds):9.3f} {float(peak):9.0f} {float(bound):12.8g}")
+            bound = "-" if bound == "None" else f"{float(bound):.8g}"
+            print(f"{n:>4} {float(seconds):9.3f} {float(peak):9.0f} {bound:>12}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraBasis,
+    _basis_from_frame,
     _generating_stack,
     commutant,
     radical,
@@ -229,7 +230,9 @@ def _draws(A: AlgebraBasis, C: AlgebraBasis, seed: int, tol: Tolerance):
     (pieces, homs, kernel): the pieces outside the kernel of the unit as
     (piece, label), their intertwiners and the kernel's frames, when every
     piece passes and is labelled, and the sum of k^2 over the classes is
-    dim A (see ``has_reduction_property``); else None.
+    dim A (see ``has_reduction_property``); else None.  A scalar C leaves
+    one piece, C^n, which counts n^2, so for M_n ``has_reduction_property``
+    takes its certificate in closed form and does not draw.
     """
     rng = np.random.default_rng(seed)
     for _ in range(_SPLIT_RETRIES):
@@ -461,7 +464,9 @@ class ReductionCertificate:
     its intertwiner, interleaved and balanced, so that b Y~_c = Y~_c
     (x kron I_mult); K is an orthonormal frame of the kernel of the internal
     unit.  In the coordinates of Z~, A is the literal block algebra, and Z~^-1
-    is the Wedderburn similarity.
+    is the Wedderburn similarity.  For A = M_n (dim A = n^2) the certificate
+    is closed-form: the commutant span(I / sqrt(n)), one piece C^n of frame
+    I with hom I, blocks ((n, 1),), and Z~ = Z~^-1 = I.
     """
 
     verdict: bool
@@ -572,8 +577,10 @@ def _kronecker_fit(K: np.ndarray, k: int, mult: int) -> tuple[np.ndarray, np.nda
     A step with Newton decrement above 1/4 is damped by halving until I + tX is
     positive definite and l falls by t/4 of the decrement squared; I + tX is
     then taken into L through the eigenvectors of X.  Raises
-    ``NumericalDegeneracyError`` when the fit has not stopped (see
-    ``_KRON_FIT_TOL``) after ``_KRON_FIT_STEPS`` steps.
+    ``NumericalDegeneracyError`` when a step leaves the positive cone
+    (min(1 + t mu) <= 0 over the eigenvalues mu of X; roundoff can do it
+    on an undamped step of a near-singular block), or when the fit has not
+    stopped (see ``_KRON_FIT_TOL``) after ``_KRON_FIT_STEPS`` steps.
     """
     if mult == 1:
         return K, identity(1)
@@ -618,7 +625,12 @@ def _kronecker_fit(K: np.ndarray, k: int, mult: int) -> tuple[np.ndarray, np.nda
                     if sign > 0 and m * logdet + k * np.log(d).sum() <= start - t * decrement / 4:
                         break
                 t /= 2
-        d = np.sqrt(1 + t * mu)
+        d = 1 + t * mu
+        if d.min() <= 0:
+            raise NumericalDegeneracyError(
+                "stage 'block-similarity': Newton step left the positive cone"
+            )
+        d = np.sqrt(d)
         L = L @ (V * d)
         U = V.conj().T / d[:, None]
         R = U @ R @ U.conj().T
@@ -661,7 +673,19 @@ def has_reduction_property(
     radical is a no once its checks pass (``_radical_certificate``); a zero
     radical is a yes from the first later draw that passes, the same
     generator drawing on, also past a failed check.  Both certificates carry C.
+
+    When dim A = n^2, A = M_n, its commutant is C*I, and the count is met by
+    the one piece C^n: no commutant is solved and nothing is drawn.  C is
+    span(I / sqrt(n)), and the certificate is the one piece C^n with frame,
+    hom and Z~ all I, blocks ((n, 1),).
     """
+    n = A.ambient
+    if A.dim == n * n:
+        C = _basis_from_frame(identity(n).reshape(-1, 1) / np.sqrt(n), n, unital=True)
+        return True, ReductionCertificate(
+            True, ((n, 1),), 0, pieces=((Subspace.full(n), 0),), homs=(identity(n),),
+            commutant=C, basis=identity(n), basis_inv=identity(n),
+        )
     C = commutant(A, tol)
     draws = _draws(A, C, seed, tol)
     drawn = next(draws)
@@ -676,7 +700,7 @@ def has_reduction_property(
         if drawn is None:
             raise fault or NumericalDegeneracyError("random commutant splitter failed repeatedly")
     pieces, homs, kernel = drawn
-    K = np.linalg.qr(np.hstack([np.zeros((A.ambient, 0))] + kernel))[0]
+    K = np.linalg.qr(np.hstack([np.zeros((n, 0))] + kernel))[0]
     blocks, Z, Z_inv = _piece_basis(pieces, homs, K)
     held = dict(pieces=tuple(pieces), homs=tuple(homs), commutant=C, basis=Z, basis_inv=Z_inv)
     return True, ReductionCertificate(True, blocks, len(kernel), **held)

@@ -738,6 +738,43 @@ class TestBenchPairs:
         assert "claimed_gain" not in bench.summarise(self.runs(parent, small, range(10)),
                                                      self.SPEC, None)
 
+    def test_metrics_outside_their_bounds_and_an_unmet_claim_exit_one(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # main() with the runs faked: the change's wall is 30% slower, past
+        # the 25% bound, and the claimed gain on it is not met
+        bench = load_script("bench_pairs")
+        spec = json.loads((bench.ROOT / "BENCHMARK.json").read_text())
+        names = [m["name"] for m in spec["end_to_end"]]
+
+        def fake_run(tree, workload, seed, seconds, threads, trace):
+            slow = 1.3 if tree == bench.ROOT else 1.0
+            metrics = {name: {"value": 2.0} for name in names}
+            metrics["wall_s"] = {"value": slow * (1.0 + 0.01 * seed)}
+            info = {"rounds": 100 + seed, "case_median_s": {}}
+            result = {"attempted": 10, "correct": True, "failed": 0, "metrics": metrics}
+            return {"info": info, "result": result}
+
+        monkeypatch.setattr(bench, "run_bench", fake_run)
+        monkeypatch.setattr(bench, "unpack", lambda commit, dest: "0000000")
+        out = tmp_path / "bench.json"
+        argv = ["bench_pairs.py", "--pairs", "algebra-ladder=3", "--claim",
+                "algebra-ladder/wall_s", "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert bench.main() == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err if " outside its bound " in line] == [
+            "algebra-ladder/wall_s"
+        ]
+        assert any(line.startswith("claim algebra-ladder/wall_s not met: 0 of 3") for line in err)
+        want = bench.shortfalls(json.loads(out.read_text()))
+        assert len(want) == 2 and err[-2:] == want
+        # the same runs as their own parent: every metric within its bound, no claim
+        monkeypatch.setattr(bench, "run_bench", lambda tree, *a: fake_run("parent", *a))
+        monkeypatch.setattr(sys, "argv", argv[:3] + argv[5:])
+        assert bench.main() == 0
+        assert bench.shortfalls(json.loads(out.read_text())) == []
+
 
 class TestMatrixJson:
     @staticmethod

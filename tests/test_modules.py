@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reduction_lab import modules
+from reduction_lab import algebra, modules
 from reduction_lab.algebra import (
     AlgebraBasis,
     center_and_minimal_central_idempotents,
@@ -558,6 +559,88 @@ class TestBurnsideCertificate:
         ok, cert = has_reduction_property(B, seed=42)
         assert ok and cert.blocks == ((4, 2),) and cert.degenerate_dim == 0
         assert calls in ([], [B])
+
+
+def workload_full_matrix(monkeypatch, n, seed):
+    """M_n from the clock and the cyclic shift under the benchmark's conjugator
+    (``perfbench/workloads.py``), drawn from ``seed``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    S = workloads.conjugator(n, np.random.default_rng(seed))
+    S_inv = np.linalg.inv(S)
+    gens = [S @ g @ S_inv for g in (workloads.clock(n), workloads.cyclic_shift(n))]
+    return generate_algebra(gens, unital=True)
+
+
+def spy(monkeypatch, owner, name):
+    """Record the calls of ``owner.name`` in a list, passing them through."""
+    calls, real = [], getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+class TestFullMatrixClosedForm:
+    # dim A = n^2 is M_n, whose commutant C I leaves one piece, C^n, counting
+    # n^2: a yes in closed form, with no commutant and no draw
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_closed_form_matches_the_draw(self, monkeypatch, n):
+        A = workload_full_matrix(monkeypatch, n, seed=n)
+        assert A.dim == n * n
+        ok, cert = has_reduction_property(A)
+        C = commutant(A)
+        pieces, homs, kernel = next(modules._draws(A, C, 0, DEFAULT_TOL))
+        assert kernel == []
+        blocks, _, _ = modules._piece_basis(pieces, homs, np.zeros((n, 0)))
+        assert ok and cert.blocks == blocks == ((n, 1),) and cert.degenerate_dim == 0
+        assert np.array_equal(cert.basis, np.eye(n)) and np.array_equal(cert.basis_inv, np.eye(n))
+        assert [p.dim for p, _ in cert.pieces] == [n] and cert.radical_dim == 0
+        TestHasReductionProperty.check_structure(A, cert)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_solves_and_draws_nothing(self, monkeypatch, n):
+        A = workload_full_matrix(monkeypatch, n, seed=1)
+        calls = [
+            spy(monkeypatch, modules, "commutant"),
+            spy(monkeypatch, modules, "sylvester_system"),
+            spy(monkeypatch, algebra, "sylvester_system"),
+            spy(monkeypatch, np.linalg, "eig"),
+        ]
+        ok, cert = has_reduction_property(A)
+        assert ok and cert.blocks == ((n, 1),) and cert.commutant.dim == 1
+        assert calls == [[], [], [], []]
+
+    def test_only_the_complete_digraph_skips_the_draw(self, monkeypatch):
+        # of the digraphs with a scalar commutant (the connected ones) only
+        # the complete one is M_n, and is a yes; every verdict is the trace
+        # form's, and only M_n calls no eig
+        graphs = [G for n in (2, 3, 4) for G in all_reflexive_transitive_digraphs(n)]
+        algebras = [digraph_algebra(G) for G in graphs]
+        semisimple = [radical(A).dim == 0 for A in algebras]
+        connected = [commutant(A).dim == 1 for A in algebras]
+        assert any(connected) and not all(connected)
+        eigs = spy(monkeypatch, np.linalg, "eig")
+        for A, want, scalar in zip(algebras, semisimple, connected):
+            eigs.clear()
+            ok, _ = has_reduction_property(A)
+            assert ok == want
+            assert (eigs == []) == (A.dim == A.ambient**2)
+            if scalar:
+                assert want == (A.dim == A.ambient**2)
+
+    def test_zero_algebra_on_one_dimension(self):
+        # dim A' = 1 = n^2 but dim A = 0: the draw decides, a yes that
+        # annihilates all of C^1
+        A = AlgebraBasis(ambient=1, basis=[])
+        ok, cert = has_reduction_property(A)
+        assert ok and cert.blocks == () and cert.degenerate_dim == 1
+        assert cert.commutant.dim == 1 and cert.kernel.dim == 1
 
 
 class TestMinNormProjection:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -487,6 +489,26 @@ class TestKroneckerFit:
         monkeypatch.setattr(modules, "_KRON_FIT_STEPS", 1)
         with pytest.raises(NumericalDegeneracyError, match="stage 'block-similarity'"):
             _kronecker_fit(K, 2, 2)
+
+    @pytest.mark.parametrize("scale", [1e12, -1e3], ids=["damped", "undamped"])
+    def test_step_out_of_the_positive_cone_is_a_breakdown(self, monkeypatch, scale):
+        # the fit's Newton step x comes from its one np.linalg.solve; scaled
+        # up, no damping keeps I + tX positive definite (t stops at 2^-30),
+        # and scaled by a negative factor its decrement is negative, so the
+        # step is taken undamped.  Either is refused before a root is taken,
+        # with no "invalid value encountered in sqrt"
+        K = np.kron(np.diag([1.0, 4.0]), np.diag([1.0, 9.0])).astype(complex)
+        K[0, 1] = K[1, 0] = 0.5
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda M, f: scale * solve(M, f))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(
+                NumericalDegeneracyError,
+                match="stage 'block-similarity': Newton step left the positive cone",
+            ):
+                _kronecker_fit(K, 2, 2)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("k, mult", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
     def test_newton_residual_is_at_its_stopping_rule(self, rng, k, mult):
