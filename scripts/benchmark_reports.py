@@ -4,8 +4,8 @@ Runs every case of both benchmark workloads (``perfbench/workloads.py``) at
 workload seeds 1-3 through ``reduction_lab.cli.main`` in-process, as the
 benchmark's runner does, each at the workloads' analysis seed 42.  With no
 argument it prints one sorted JSON object of the reports, keyed
-``workload/seed/case``, with ``timing_seconds`` dropped (a case that exits
-nonzero is kept as its exit code and error text):
+``workload/seed/case`` (a case that exits nonzero is kept as its exit code
+and error text); the reports carry no timings, so a dump is deterministic:
 
     PYTHONPATH=src python3 scripts/benchmark_reports.py > before.json
     PYTHONPATH=src python3 scripts/benchmark_reports.py before.json
@@ -49,7 +49,6 @@ def reports() -> dict:
                         code = cli.main(list(case.argv))
                     if code == 0:
                         report = json.loads(stdout.getvalue())
-                        report.pop("timing_seconds", None)
                     else:
                         report = {"exit_code": code, "error": stderr.getvalue().strip()}
                     out[f"{name}/{seed}/{case.name}"] = report

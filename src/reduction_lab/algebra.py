@@ -273,13 +273,16 @@ def radical(A: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     matrix, and the rank floor of ``null_space`` applied to it, do not
     depend on the scale or the conditioning of the given basis; the kernel
     vectors carried through the frame are an orthonormal basis of the radical.
+    The Gram tr(m_a m_b) over the frame's matrices m_a is one product F^T V,
+    V holding the vectorised transposes m_b^T as columns, as
+    tr(m_a m_b) = vec(m_a) . vec(m_b^T): one gemm.
     """
     if A.dim == 0:
         return AlgebraBasis(ambient=A.ambient, basis=[], unital=False)
     n = A.ambient
     F = A.frame(tol)
     M = F.T.reshape(-1, n, n)
-    K = null_space(np.einsum("aij,bji->ab", M, M), tol=tol)
+    K = null_space(F.T @ M.swapaxes(1, 2).reshape(len(M), -1).T, tol=tol)
     return _basis_from_frame(F @ K, n, unital=False)
 
 

@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -136,7 +135,6 @@ def analysis_report(A, seed: int, tol: Tolerance) -> dict:
     summand is annihilated: then I is in A, which is similar to a unital
     *-algebra (double commutant theorem), and else I is in A'' but not in A.
     """
-    t0 = time.perf_counter()
     verdict, cert = has_reduction_property(A, seed=seed, tol=tol)
     comm = cert.commutant
     if verdict:
@@ -170,7 +168,6 @@ def analysis_report(A, seed: int, tol: Tolerance) -> dict:
             "radical_element": _matrix_to_json(cert.radical_element),
             "uncomplemented_subspace_frame": _matrix_to_json(cert.witness.frame),
         }
-    report["timing_seconds"] = round(time.perf_counter() - t0, 6)
     return report
 
 
@@ -196,7 +193,6 @@ def emit_report(report: dict, fmt: str, out=None) -> None:
         lines.append(f"similarity condition:   {report['similarity_condition']:.6g}")
     else:
         lines.append("certificate:            radical element plus uncomplemented subspace")
-    lines.append(f"timing:                 {report['timing_seconds']:.3f} s")
     out.write("\n".join(lines) + "\n")
 
 

@@ -231,8 +231,10 @@ def _draws(A: AlgebraBasis, C: AlgebraBasis, seed: int, tol: Tolerance):
     (piece, label), their intertwiners and the kernel's frames, when every
     piece passes and is labelled, and the sum of k^2 over the classes is
     dim A (see ``has_reduction_property``); else None.  A scalar C leaves
-    one piece, C^n, which counts n^2, so for M_n ``has_reduction_property``
-    takes its certificate in closed form and does not draw.
+    one piece, C^n, which counts n^2, so ``has_reduction_property`` draws
+    from no scalar C but that of the zero algebra on C^1: M_n takes its
+    certificate in closed form, and any other A with A' = C*I goes straight
+    to the trace form.
     """
     rng = np.random.default_rng(seed)
     for _ in range(_SPLIT_RETRIES):
@@ -288,70 +290,81 @@ def _class_labels(pieces: list, A: AlgebraBasis, tol: Tolerance) -> list | None:
     one-dimensional or is singular at the rank tolerance (no isomorphism).
     dim End(V) = 1 certifies V irreducible when A is semisimple (Schur).  Each
     unlabelled piece V in turn opens a class, which takes every later
-    unlabelled piece W with Hom(V, W) != 0.  The Homs come from
-    ``_hom_ranks``, one call per dimension.
+    unlabelled piece W of its dimension with Hom(V, W) != 0.  Only End(V) and
+    those Homs are ranked (``_hom_ranks``), one call per class.
     """
     labels: list = [None] * len(pieces)
     classes = 0
     for d in sorted({p.dim for p in pieces}):
         at = [i for i, p in enumerate(pieces) if p.dim == d]
-        ends, dims, T, invertible = _hom_ranks([pieces[i] for i in at], A, tol)
-        for a, i in enumerate(at):
-            if labels[i] is not None:
-                continue
-            if ends[a] != 1:
+        ranks = _hom_ranks([pieces[i] for i in at], A, tol)
+        todo = list(range(len(at)))
+        while todo:
+            first, *rest = todo
+            end, dims, T, invertible = ranks(first, rest)
+            if end != 1:
                 return None
-            labels[i] = (classes, identity(d))
-            for b in range(a + 1, len(at)):
-                if labels[at[b]] is None and dims[a, b]:
-                    if dims[a, b] > 1 or not invertible[a, b]:
-                        return None
-                    labels[at[b]] = (classes, T[a, b])
+            labels[at[first]] = (classes, identity(d))
+            todo = []
+            for b, dim, t, inv in zip(rest, dims, T, invertible):
+                if dim > 1 or (dim and not inv):
+                    return None
+                if dim:
+                    labels[at[b]] = (classes, t)
+                else:
+                    todo.append(b)
             classes += 1
     return [(p, *labels[i]) for i, p in enumerate(pieces)]
 
 
-def _hom_ranks(pieces: list, A: AlgebraBasis, tol: Tolerance) -> tuple:
-    """(ends, dims, T, invertible) for m invariant ``pieces`` of one dimension d:
-    dim End of each, dim Hom(V_a, V_b) for a < b in an (m, m) array (zero on
-    and below the diagonal), the last right singular vector T[a, b] of each
-    pair's system as a d x d map, and whether each one-dimensional Hom's T is
-    nonsingular at the rank tolerance.
+def _hom_ranks(pieces: list, A: AlgebraBasis, tol: Tolerance):
+    """The ranks of m invariant ``pieces`` of one dimension d, as a function
+    ranks(a, rest) -> (end, dims, T, invertible): dim End of piece a, then for
+    each b of the list ``rest`` dim Hom(V_a, V_b), the last right singular
+    vector T of its system as a d x d map, and whether a one-dimensional Hom's
+    T is nonsingular at the rank tolerance.  Only what a call asks for is
+    built.
 
     For d = 1, End is always one-dimensional, and V, W are copies exactly when
     their characters f* b f (frames f) over the scaled generating stack
     (``_scaled_generating_stack``) differ by at most rank_eps: that distance is
-    the only singular value of their 1 x 1 Sylvester system.  Their T is 1.
-    For d > 1 one ``_intertwiner_systems`` call holds every piece's own system
-    and one per pair a < b, cut to triangular factors by one stacked QR (with
-    no Q, when the systems are tall).  One SVD with no vectors ranks the Ends,
-    one stacked SVD the pairs (T is read from the factor ``intertwiners``
+    the only singular value of their 1 x 1 Sylvester system.  Their T is 1,
+    and the characters and their distances are read once for all m pieces.
+    For d > 1 a call makes one ``_intertwiner_systems`` call, of End(V_a)'s
+    system and one per b, cut to triangular factors by one stacked QR (with
+    no Q, when the systems are tall).  One SVD with no vectors ranks End(V_a),
+    one stacked SVD the Homs (T is read from the factor ``intertwiners``
     reads), and one more with no vectors the T of every one-dimensional Hom.
     """
-    m, d = len(pieces), pieces[0].dim
-    upper = np.triu_indices(m, 1)
-    dims = np.zeros((m, m), dtype=int)
+    d = pieces[0].dim
     if d == 1:
         F = np.array([p.frame for p in pieces])[:, None]
-        chars = (F.conj().swapaxes(-1, -2) @ _scaled_generating_stack(A) @ F).reshape(m, -1)
-        dims[upper] = np.linalg.norm(chars[:, None] - chars[None], axis=-1)[upper] <= tol.rank_eps
-        return np.ones(m, dtype=int), dims, np.ones((m, m, 1, 1), dtype=complex), dims == 1
-    pairs = [pieces[a] for a in upper[0]], [pieces[b] for b in upper[1]]
-    S = _intertwiner_systems(A, pieces + pairs[0], pieces + pairs[1])
-    if S.shape[1] > S.shape[2]:
-        S = np.linalg.qr(S, mode="r")
-    ends = [d * d - _rank(sig, tol) for sig in np.linalg.svd(S[:m], compute_uv=False)]
-    T = np.zeros((m, m, d, d), dtype=complex)
-    invertible = np.zeros((m, m), dtype=bool)
-    if m > 1:
-        _, sig, Vh = np.linalg.svd(S[m:], full_matrices=S.shape[1] < S.shape[2])
-        dims[upper] = [d * d - _rank(s, tol) for s in sig]
-        T[upper] = Vh[:, -1].conj().reshape(-1, d, d)
-        copies = tuple(ix[dims[upper] == 1] for ix in upper)
-        if copies[0].size:
-            ranks = np.linalg.svd(T[copies], compute_uv=False)
-            invertible[copies] = [_rank(s, tol) == d for s in ranks]
-    return ends, dims, T, invertible
+        chars = (F.conj().swapaxes(-1, -2) @ _scaled_generating_stack(A) @ F).reshape(len(F), -1)
+        copies = np.linalg.norm(chars[:, None] - chars[None], axis=-1) <= tol.rank_eps
+
+        def characters(a: int, rest: list) -> tuple:
+            dims = copies[a, rest]
+            return 1, dims.astype(int), np.ones((len(rest), 1, 1), dtype=complex), dims
+
+        return characters
+
+    def systems(a: int, rest: list) -> tuple:
+        S = _intertwiner_systems(A, [pieces[a]] * (len(rest) + 1), [pieces[b] for b in [a, *rest]])
+        if S.shape[1] > S.shape[2]:
+            S = np.linalg.qr(S, mode="r")
+        end = d * d - _rank(np.linalg.svd(S[0], compute_uv=False), tol)
+        if not rest:
+            return end, [], [], []
+        _, sig, Vh = np.linalg.svd(S[1:], full_matrices=S.shape[1] < S.shape[2])
+        dims = np.array([d * d - _rank(s, tol) for s in sig])
+        T = Vh[:, -1].conj().reshape(-1, d, d)
+        invertible = np.zeros(len(rest), dtype=bool)
+        if np.any(dims == 1):
+            ranks = np.linalg.svd(T[dims == 1], compute_uv=False)
+            invertible[dims == 1] = [_rank(s, tol) == d for s in ranks]
+        return end, dims, T, invertible
+
+    return systems
 
 
 def _scaled_generating_stack(A: AlgebraBasis) -> np.ndarray:
@@ -666,8 +679,8 @@ def has_reduction_property(
     (+) M_k kron I_mult (+) 0_d over the piece basis Z (see
     ``ReductionCertificate``), and dim A = sum of k^2 over the classes forces
     equality (Burnside's theorem; Lomonosov & Rosenthal, Linear Algebra Appl.
-    383, 2004): the verdict is yes, with no trace form.  T_2 has one piece
-    with dim End = 1, but 4 > 3.
+    383, 2004): the verdict is yes, with no trace form.  The count is exact:
+    T_2's one piece C^2 has dim End = 1, but 4 > 3.
 
     Otherwise the radical, the kernel of the trace form, decides.  A nonzero
     radical is a no once its checks pass (``_radical_certificate``); a zero
@@ -678,6 +691,13 @@ def has_reduction_property(
     the one piece C^n: no commutant is solved and nothing is drawn.  C is
     span(I / sqrt(n)), and the certificate is the one piece C^n with frame,
     hom and Z~ all I, blocks ((n, 1),).
+
+    When C = C*I and 0 < dim A < n^2 (T_n, every connected digraph but the
+    complete one), A is not semisimple by Burnside's theorem, so no draw can
+    certify: the trace form decides at once.  A nonzero radical is the no of
+    ``_radical_certificate``, whose failed check is raised as it is; a zero
+    radical contradicts the theorem and is a breakdown in stage 'radical'.
+    The zero algebra on C^1 (C = M_1, dim A = 0) draws, as above.
     """
     n = A.ambient
     if A.dim == n * n:
@@ -687,6 +707,14 @@ def has_reduction_property(
             commutant=C, basis=identity(n), basis_inv=identity(n),
         )
     C = commutant(A, tol)
+    if C.dim == 1 and A.dim:
+        rad = radical(A, tol)
+        if not rad.dim:
+            raise NumericalDegeneracyError(
+                "stage 'radical': the trace form reads no radical with A' = C I and "
+                f"dim A = {A.dim} < {n * n}, which contradicts Burnside's theorem"
+            )
+        return False, _radical_certificate(rad, A, C, tol)
     draws = _draws(A, C, seed, tol)
     drawn = next(draws)
     if drawn is None:

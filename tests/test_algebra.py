@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reduction_lab import algebra
+from reduction_lab import algebra, modules
 from reduction_lab.algebra import (
     AlgebraBasis,
     SubspaceLattice,
@@ -27,8 +27,14 @@ from reduction_lab.errors import (
     MalformedInputError,
     StructurePreconditionError,
 )
-from reduction_lab.gallery import digraph_algebra, truncated_graph_example
-from reduction_lab.linalg import Subspace, null_space, operator_norm, sylvester_system
+from reduction_lab.gallery import Digraph, digraph_algebra, truncated_graph_example
+from reduction_lab.linalg import (
+    Subspace,
+    null_space,
+    operator_norm,
+    rank_and_range,
+    sylvester_system,
+)
 from reduction_lab.modules import (
     has_reduction_property,
     invariant,
@@ -341,6 +347,88 @@ class TestRadical:
             for _ in range(n):
                 power = power @ r
             assert operator_norm(power) < 1e-8
+
+
+def einsum_gram(A):
+    """Reference trace-form Gram tr(m_a m_b) over the matrices m_a of A's frame."""
+    n = A.ambient
+    M = A.frame().T.reshape(-1, n, n)
+    return np.einsum("aij,bji->ab", M, M)
+
+
+def block_triangular_algebra(sizes, rng):
+    """The algebra of block upper-triangular matrices with diagonal blocks of
+    ``sizes``, conjugated by a random invertible: not semisimple, as its
+    off-diagonal blocks are its radical."""
+    n = sum(sizes)
+    starts = np.cumsum([0, *sizes])
+    mask = np.zeros((n, n), dtype=bool)
+    for i, a in enumerate(starts[:-1]):
+        mask[a : starts[i + 1], a:] = True
+    R = random_invertible(n, rng, max_cond=20)
+    R_inv = np.linalg.inv(R)
+    gens = [R @ (mask * rng.standard_normal((n, n))) @ R_inv for _ in range(2)]
+    return generate_algebra(gens, unital=True)
+
+
+def workload_chains(monkeypatch, tmp_path, seed):
+    """T6 and T8 of the benchmark's ``algebra-ladder`` at workload ``seed``, read
+    from their spec files as ``analyze`` reads them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    from reduction_lab.cli import load_algebra_spec
+
+    chains = {}
+    for case in workloads.build("algebra-ladder", seed, tmp_path):
+        if case.name in ("T6", "T8"):
+            n, gens, unital, tol = load_algebra_spec(case.argv[1])
+            chains[case.name] = generate_algebra(gens, unital=unital, ambient=n, tol=tol)
+    return chains
+
+
+class TestTraceFormGram:
+    # the radical's Gram is one gemm over the frame and its transposes; the
+    # einsum it replaced is kept here as the reference
+
+    def test_gemm_gram_matches_einsum(self, monkeypatch):
+        chains = [
+            digraph_algebra(Digraph.from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+            for n in range(2, 9)
+        ]
+        rng = np.random.default_rng(26)
+        others = [block_triangular_algebra(s, rng) for s in ((1, 2), (2, 2), (2, 1, 1))]
+        grams, real = [], algebra.null_space
+
+        def recording(M, tol=DEFAULT_TOL):
+            grams.append(M)
+            return real(M, tol=tol)
+
+        monkeypatch.setattr(algebra, "null_space", recording)
+        for A in chains + others:
+            grams.clear()
+            assert radical(A).dim > 0
+            (got,) = grams
+            want = einsum_gram(A)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_workload_chain_certificates(self, monkeypatch, tmp_path, seed):
+        # the no-certificates of the benchmark's T6 and T8 pass every check of
+        # ``_radical_certificate``, and their witness is the one the einsum
+        # Gram gives, to a principal angle of 1e-12
+        for name, A in workload_chains(monkeypatch, tmp_path, seed).items():
+            n = A.ambient
+            ok, cert = has_reduction_property(A, seed=42)
+            assert not ok and cert.witness.dim == n - 1, name
+            assert modules._invariance_residual(cert.witness, A) <= DEFAULT_TOL.eq_eps
+            margins = modules._radical_element_margins(cert.radical_element, A, DEFAULT_TOL)
+            assert max(margins) <= DEFAULT_TOL.eq_eps
+            R = A.frame() @ null_space(einsum_gram(A))
+            _, want = rank_and_range(np.hstack(list(R.T.reshape(-1, n, n))), DEFAULT_TOL)
+            assert want.dim == cert.witness.dim
+            W = cert.witness.frame
+            sine = np.linalg.norm(W - want.frame @ (want.frame.conj().T @ W), 2)
+            assert np.arcsin(min(sine, 1.0)) <= 1e-12, name
 
 
 class TestCenterAndIdempotents:

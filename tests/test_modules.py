@@ -616,10 +616,12 @@ class TestFullMatrixClosedForm:
         assert ok and cert.blocks == ((n, 1),) and cert.commutant.dim == 1
         assert calls == [[], [], [], []]
 
-    def test_only_the_complete_digraph_skips_the_draw(self, monkeypatch):
-        # of the digraphs with a scalar commutant (the connected ones) only
-        # the complete one is M_n, and is a yes; every verdict is the trace
-        # form's, and only M_n calls no eig
+    def test_every_scalar_commutant_skips_the_draw(self, monkeypatch):
+        # the digraphs with a scalar commutant are the connected ones: the
+        # complete one is M_n, a yes in closed form, and every other goes
+        # straight to the trace form, so none of them calls eig; every
+        # digraph with a larger commutant draws, and every verdict is the
+        # trace form's
         graphs = [G for n in (2, 3, 4) for G in all_reflexive_transitive_digraphs(n)]
         algebras = [digraph_algebra(G) for G in graphs]
         semisimple = [radical(A).dim == 0 for A in algebras]
@@ -630,7 +632,7 @@ class TestFullMatrixClosedForm:
             eigs.clear()
             ok, _ = has_reduction_property(A)
             assert ok == want
-            assert (eigs == []) == (A.dim == A.ambient**2)
+            assert (eigs == []) == scalar
             if scalar:
                 assert want == (A.dim == A.ambient**2)
 
@@ -641,6 +643,63 @@ class TestFullMatrixClosedForm:
         ok, cert = has_reduction_property(A)
         assert ok and cert.blocks == () and cert.degenerate_dim == 1
         assert cert.commutant.dim == 1 and cert.kernel.dim == 1
+
+
+def workload_chain(monkeypatch, n, seed):
+    """T_n from the clock and the superdiagonal of ones under the benchmark's
+    conjugator (``perfbench/workloads.py``), drawn from ``seed``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    S = workloads.conjugator(n, np.random.default_rng(seed))
+    S_inv = np.linalg.inv(S)
+    superdiag = np.diag(np.ones(n - 1, dtype=complex), 1)
+    return generate_algebra([S @ g @ S_inv for g in (workloads.clock(n), superdiag)], unital=True)
+
+
+class TestScalarCommutant:
+    # A' = C I with 0 < dim A < n^2: by Burnside's theorem A is not
+    # semisimple, no draw can certify, and the trace form decides at once
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_chain_draws_nothing(self, monkeypatch, n):
+        A = workload_chain(monkeypatch, n, seed=n)
+        calls = [
+            spy(monkeypatch, np.linalg, "eig"),
+            spy(monkeypatch, modules, "_intertwiner_systems"),
+        ]
+        radicals = count_radicals(monkeypatch)
+        ok, cert = has_reduction_property(A)
+        assert not ok and cert.commutant.dim == 1
+        assert cert.radical_dim == n * (n - 1) // 2 and cert.witness.dim == n - 1
+        assert calls == [[], []] and radicals == [A]
+
+    def test_zero_radical_contradicts_burnside(self, monkeypatch):
+        A = digraph_algebra(Digraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        eigs = spy(monkeypatch, np.linalg, "eig")
+        monkeypatch.setattr(
+            modules, "radical", lambda A, tol=DEFAULT_TOL: AlgebraBasis(ambient=4, basis=[])
+        )
+        with pytest.raises(
+            NumericalDegeneracyError,
+            match=r"stage 'radical': .*dim A = 10 < 16, which contradicts Burnside's theorem",
+        ):
+            has_reduction_property(A)
+        assert eigs == []
+
+    def test_failed_radical_check_is_raised_at_once(self, monkeypatch):
+        # E11 lies in T_4 and its range e1 is invariant, but it is no radical
+        # element: the nilpotency check fails, with no draw after it
+        A = digraph_algebra(Digraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        eigs = spy(monkeypatch, np.linalg, "eig")
+        monkeypatch.setattr(
+            modules, "radical", lambda A, tol=DEFAULT_TOL: AlgebraBasis(4, [unit(4, 0, 0)])
+        )
+        with pytest.raises(
+            NumericalDegeneracyError, match="stage 'radical': the radical element is not nilpotent"
+        ):
+            has_reduction_property(A)
+        assert eigs == []
 
 
 class TestMinNormProjection:
@@ -1467,16 +1526,18 @@ class TestBatchedSummandLoops:
                 [0, 1, 2],
                 [],
             ),
-            (lambda: block_algebra_basis([(2, 4)]), [0] * 4, [(4, 6)]),
+            (lambda: block_algebra_basis([(2, 4)]), [0] * 4, [(1, 3)]),
             (lambda: block_algebra_basis([(1, 5)]), [0] * 5, []),
+            (lambda: block_algebra_basis([(2, 2), (2, 1)]), [0, 1, 1], [(1, 2), (1, 1)]),
         ],
-        ids=["C^3", "M2 x I4", "C x I5"],
+        ids=["C^3", "M2 x I4", "C x I5", "M2 + M2 x I2"],
     )
     def test_one_commutant_one_call_per_class(self, monkeypatch, make, labels, systems):
-        # one commutant of the algebra given, and one stacked call per piece
-        # dimension d > 1: every piece's own system, then one per pair i < j,
-        # so m copies take m End and m(m - 1)/2 pair systems; one-dimensional
-        # pieces are labelled by their characters and build no system
+        # one commutant of the algebra given, and one stacked call per class
+        # of dimension d > 1: the End system of its first piece, then one Hom
+        # system from it to each later piece not yet labelled, so m copies
+        # take 1 End and m - 1 Hom systems; one-dimensional pieces are
+        # labelled by their characters and build no system
         commutants, calls = [], []
         comm, build = modules.commutant, modules._intertwiner_systems
 
@@ -1496,11 +1557,12 @@ class TestBatchedSummandLoops:
         assert commutants == [A]
         same = [[s is t for s, t in zip(*c)] for c in calls]
         assert [(sum(x), len(x) - sum(x)) for x in same] == systems
+        pieces = [p for p, _ in dec]
         for sources, targets in calls:
-            ends = sources[: len(dec)]
-            assert [p for p, _ in dec] == ends == targets[: len(dec)]
-            pairs = list(zip(sources[len(dec) :], targets[len(dec) :]))
-            assert pairs == list(itertools.combinations(ends, 2))
+            assert all(s is targets[0] for s in sources)
+            at = [next(i for i, p in enumerate(pieces) if p is t) for t in targets]
+            later = [j for j in range(at[0] + 1, len(dec)) if labels[j] >= labels[at[0]]]
+            assert at == [at[0]] + later
 
     def test_merged_draw_is_drawn_again(self, monkeypatch):
         # a draw whose clusters merge gives a reducible piece: the first draw is
@@ -1601,10 +1663,12 @@ class TestBatchedLabels:
             pieces = [p for p, _ in labelled]
             for d in {p.dim for p in pieces}:
                 group = [p for p in pieces if p.dim == d]
-                ends, dims, _, _ = modules._hom_ranks(group, A, DEFAULT_TOL)
-                assert list(ends) == [intertwiners(V, V, A).dim for V in group] == [1] * len(group)
-                for a, b in itertools.combinations(range(len(group)), 2):
-                    assert dims[a, b] == intertwiners(group[a], group[b], A).dim
+                ranks = modules._hom_ranks(group, A, DEFAULT_TOL)
+                for a, V in enumerate(group):
+                    rest = list(range(a + 1, len(group)))
+                    end, dims, _, _ = ranks(a, rest)
+                    assert end == intertwiners(V, V, A).dim == 1
+                    assert list(dims) == [intertwiners(V, group[b], A).dim for b in rest]
             for (p, a), (q, b) in itertools.combinations(labelled, 2):
                 assert p.dim == q.dim or a != b
             tested += 1
@@ -1618,12 +1682,12 @@ class TestBatchedLabels:
         g = np.diag([0.75, 0.75 + t]).astype(complex)
         A = AlgebraBasis(ambient=2, basis=[g], unital=False)
         V, W = Subspace.span_of_basis_vector(2, 0), Subspace.span_of_basis_vector(2, 1)
-        ends, dims, T, invertible = modules._hom_ranks([V, W], A, DEFAULT_TOL)
+        end, dims, T, invertible = modules._hom_ranks([V, W], A, DEFAULT_TOL)(0, [1])
         S = modules._intertwiner_systems(A, [V], [W])[0]
         rank = _rank(np.linalg.svd(S, compute_uv=False), DEFAULT_TOL)
-        assert list(ends) == [1, 1]
-        assert dims[0, 1] == 1 - rank == (distance < 1)
-        assert invertible[0, 1] == (distance < 1) and T[0, 1].tolist() == [[1]]
+        assert end == 1
+        assert dims[0] == 1 - rank == (distance < 1)
+        assert invertible[0] == (distance < 1) and T[0].tolist() == [[1]]
 
     def test_local_commutant_stays_a_no(self):
         # A = {[[a, b], [0, a]]} is its own commutant, of dimension 2, and any
